@@ -1,0 +1,7 @@
+"""Put the benchmark's modules and the package source on the import path."""
+
+import os
+import sys
+
+_BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [_BENCH, os.path.join(os.path.dirname(_BENCH), "src")]
