@@ -26,6 +26,7 @@ from .exact_core import (
     ExactSequence,
     SeqParams,
     binomial,
+    binomial_power_sums,
     central_binomial_sequence,
     full_sequence,
     parse_rational,
@@ -92,6 +93,7 @@ __all__ = [
     "binomial",
     "parse_rational",
     "weighted_power_sum",
+    "binomial_power_sums",
     "scaled_prefix_sums",
     "scaled_row_sums",
     "sequence_entry",

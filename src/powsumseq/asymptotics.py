@@ -37,11 +37,12 @@ ulps in practice); the returned bound is conservative.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_core import SeqParams, central_binomial_sequence, full_sequence
+from .exact_core import SeqParams, binomial_power_sums, full_sequence
 from .property_checks import peak_indices
 
 __all__ = [
@@ -140,11 +141,7 @@ class SandwichBounds:
 def _central_peak(m: int) -> tuple[int, int, int]:
     """(r_m, sum_{i<=r_m} C(m,i)^2, C(2 r_m, r_m)) for the central sequence."""
     r = (m + 2) // 3
-    coeff = 1
-    total = 1
-    for i in range(1, r + 1):
-        coeff = coeff * (m - i + 1) // i
-        total += coeff * coeff
+    total = deque(binomial_power_sums(m, 2, 1, r), maxlen=1).pop()
     return r, total, math.comb(2 * r, r)
 
 
@@ -219,10 +216,7 @@ def conjectured_ratio(params: SeqParams) -> RatioResult:
     m, l, a = params.m, params.l, params.a
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    if l == 2 and a == 1:
-        seq = central_binomial_sequence(m)
-    else:
-        seq = full_sequence(params)
+    seq = full_sequence(params)
     peak = peak_indices(seq).indices[0]
     log_peak = _log_ratio(seq.numerators[peak], seq.denominators[peak])
 

@@ -24,7 +24,14 @@ from .asymptotics import TheoryViolation, central_ratio, conjectured_ratio, sand
 from .exact_core import SeqParams, full_sequence, parse_rational
 from .poly_certificates import build_cert_table, dump_polynomials, run_all
 from .property_checks import PropertyReport, conjecture_report, peak_window
-from .sweep_harness import SweepGrid, export_csv, export_json, run_sweep
+from .sweep_harness import (
+    SweepGrid,
+    cell_sequences,
+    export_csv,
+    export_json,
+    headline_csv,
+    run_sweep,
+)
 
 __all__ = ["main"]
 
@@ -159,10 +166,11 @@ def _cmd_check(args) -> int:
 def _cmd_peak(args) -> int:
     if args.m_max < 2:
         raise ValueError("peak scan needs --m-max >= 2")
+    SeqParams(args.m_max, args.l, args.a)  # rejects a bad --l before the row sums
     rows = []
     bad = 0
-    for m in range(2, args.m_max + 1):
-        report = conjecture_report(SeqParams(m, args.l, args.a))
+    for seq in cell_sequences(args.l, args.a, 2, args.m_max):
+        report = conjecture_report(seq.params, sequence=seq)
         rows.append(report)
         if not _report_ok(report):
             bad += 1
@@ -250,11 +258,7 @@ def _cmd_table2(args) -> int:
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=1))
     else:
-        header = "l\\a," + ",".join(str(a) for a in grid.a_values)
-        print(header)
-        for l in grid.l_values:
-            cells = [str(report.cell(l, a).largest_non_lc_m or 0) for a in grid.a_values]
-            print(f"{l}," + ",".join(cells))
+        print(headline_csv(report), end="")
         columns = report.column_checks()
         mono_bad = [c for c in columns if not c.monotone]
         thresholds = report.threshold_checks()

@@ -31,6 +31,8 @@ entries are materialised only on demand.
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,6 +43,7 @@ __all__ = [
     "binomial",
     "parse_rational",
     "weighted_power_sum",
+    "binomial_power_sums",
     "scaled_prefix_sums",
     "scaled_row_sums",
     "sequence_entry",
@@ -141,24 +144,38 @@ def weighted_power_sum(m: int, l: int, a: Fraction | int | str, r: int) -> Fract
     return Fraction(total, q ** (r * l))
 
 
+def binomial_power_sums(n: int, l: int, a: Fraction | int, r_max: int) -> Iterator[int]:
+    """Yield sum_{i<=r} C(n, i)**l * p**(i*l) * q**((r-i)*l) for r = 0..r_max.
+
+    ``a = p/q`` in lowest terms.  These are the scaled prefix sums of the
+    module docstring, one new term per step; with a = 1 they are the plain
+    sums of C(n, i)**l.  A generator, so callers that need only the last sum
+    hold one big integer at a time.  With a = 1 the loop skips the
+    multiplications by p and q**l.
+    """
+    p, q = a.numerator, a.denominator
+    w = acc = 1  # w = C(n, i) * p**i; each division by i below is exact
+    yield acc
+    if p == q == 1:
+        for i in range(1, r_max + 1):
+            w = w * (n - i + 1) // i
+            acc += w**l
+            yield acc
+        return
+    ql = q**l
+    for i in range(1, r_max + 1):
+        w = w * ((n - i + 1) * p) // i
+        acc = acc * ql + w**l
+        yield acc
+
+
 def scaled_prefix_sums(m: int, l: int, a: Fraction) -> list[int]:
     """Numerators N_r for r = 0..m (see module docstring), one term per step.
 
     N_r equals P(m, r) * a.denominator**(r*l); these integers share their
     scaling with ``scaled_row_sums`` so N_r / D_r is the sequence entry.
     """
-    p, q = a.numerator, a.denominator
-    pl, ql = p**l, q**l
-    sums = [1] * (m + 1)
-    coeff = 1  # C(m, r)
-    p_pow = 1  # p**(r*l)
-    acc = 1
-    for r in range(1, m + 1):
-        coeff = coeff * (m - r + 1) // r
-        p_pow *= pl
-        acc = acc * ql + coeff**l * p_pow
-        sums[r] = acc
-    return sums
+    return list(binomial_power_sums(m, l, a, m))
 
 
 def scaled_row_sums(l: int, a: Fraction, r_max: int) -> list[int]:
@@ -170,28 +187,16 @@ def scaled_row_sums(l: int, a: Fraction, r_max: int) -> list[int]:
     a = 1 gives the central binomial coefficients D_r = C(2r, r).
     """
     p, q = a.numerator, a.denominator
+    out = [1] * (r_max + 1)
     if l == 1:
-        base = p + q
-        out = [1] * (r_max + 1)
         for r in range(1, r_max + 1):
-            out[r] = out[r - 1] * base
-        return out
-    if l == 2 and p == 1 and q == 1:
-        out = [1] * (r_max + 1)
+            out[r] = out[r - 1] * (p + q)
+    elif l == 2 and p == q == 1:
         for r in range(r_max):
             out[r + 1] = out[r] * (2 * (2 * r + 1)) // (r + 1)
-        return out
-    pl, ql = p**l, q**l
-    out = [1] * (r_max + 1)
-    for r in range(1, r_max + 1):
-        coeff = 1
-        p_pow = 1
-        acc = 1
-        for i in range(1, r + 1):
-            coeff = coeff * (r - i + 1) // i
-            p_pow *= pl
-            acc = acc * ql + coeff**l * p_pow
-        out[r] = acc
+    else:
+        for r in range(1, r_max + 1):
+            out[r] = deque(binomial_power_sums(r, l, a, r), maxlen=1).pop()
     return out
 
 
@@ -253,20 +258,5 @@ def full_sequence(params: SeqParams) -> ExactSequence:
 
 
 def central_binomial_sequence(m: int) -> ExactSequence:
-    """Fast path for (l=2, a=1): prefix sums of C(m, i)^2 over C(2r, r).
-
-    Equals ``full_sequence(SeqParams(m, 2, Fraction(1)))`` entry for entry;
-    the denominators are exactly the central binomial coefficients.
-    """
-    params = SeqParams(m, 2, Fraction(1))
-    nums = [1] * (m + 1)
-    coeff = 1
-    acc = 1
-    for r in range(1, m + 1):
-        coeff = coeff * (m - r + 1) // r
-        acc += coeff * coeff
-        nums[r] = acc
-    dens = [1] * (m + 1)
-    for r in range(m):
-        dens[r + 1] = dens[r] * (2 * (2 * r + 1)) // (r + 1)
-    return ExactSequence(params, tuple(nums), tuple(dens))
+    """The (l=2, a=1) sequence: prefix sums of C(m, i)^2 over C(2r, r)."""
+    return full_sequence(SeqParams(m, 2, Fraction(1)))

@@ -50,8 +50,12 @@ The verification entry points then check, in exact integer arithmetic:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
+
+from .exact_core import binomial_power_sums
 
 __all__ = [
     "IntPoly",
@@ -410,18 +414,6 @@ def verify_sign_certificate(q_max: int) -> Verdict:
     return Verdict("sign-certificate", True, checked, None)
 
 
-def _squared_binomial_prefix(m: int, j_max: int) -> list[int]:
-    """S(j) = sum_{i=0}^{j} C(m, i)^2 for j = 0..j_max."""
-    sums = [1] * (j_max + 1)
-    coeff = 1
-    acc = 1
-    for j in range(1, j_max + 1):
-        coeff = coeff * (m - j + 1) // j
-        acc += coeff * coeff
-        sums[j] = acc
-    return sums
-
-
 def verify_equivalence_chain(q: int) -> Verdict:
     """All links of the chain share one truth value; k=0 equals the goal.
 
@@ -433,7 +425,7 @@ def verify_equivalence_chain(q: int) -> Verdict:
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     m = 3 * q
-    sums = _squared_binomial_prefix(m, q)
+    sums = list(binomial_power_sums(m, 2, 1, q))
     factor = 3 * q + 1
 
     truths = []
@@ -476,20 +468,14 @@ def verify_left_peak_inequality(m: int) -> Verdict:
         raise ValueError(f"m must be >= 2, got {m}")
     r = (m + 2) // 3
     lhs_factor = 3 * r - 2
-    checked = 0
-    coeff = 1  # C(m, j)
-    acc = 1  # S(j - 1) once j's loop iteration starts
-    for j in range(1, r + 1):
-        prefix = acc
-        coeff = coeff * (m - j + 1) // j
-        acc += coeff * coeff
-        checked += 1
-        if lhs_factor * prefix >= r * coeff * coeff:
+    sums = pairwise(binomial_power_sums(m, 2, 1, r))
+    for j, (prefix, acc) in enumerate(sums, start=1):
+        if lhs_factor * prefix >= r * (acc - prefix):  # acc - prefix = C(m,j)^2
             return Verdict(
-                "left-peak-inequality", False, checked,
+                "left-peak-inequality", False, j,
                 f"m={m}, j={j}: {lhs_factor}*S({j - 1}) >= {r}*C({m},{j})^2",
             )
-    return Verdict("left-peak-inequality", True, checked, None)
+    return Verdict("left-peak-inequality", True, r, None)
 
 
 def verify_right_peak_inequality(q: int) -> Verdict:
@@ -501,22 +487,15 @@ def verify_right_peak_inequality(q: int) -> Verdict:
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    checked = 0
-    for m in (3 * q, 3 * q - 1, 3 * q - 2):
-        total = 0
-        coeff = 1
-        for i in range(q + 1):
-            if i > 0:
-                coeff = coeff * (m - i + 1) // i
-            total += coeff * coeff
-        nxt = math.comb(m, q + 1) if q + 1 <= m else 0
-        checked += 1
+    for checked, m in enumerate((3 * q, 3 * q - 1, 3 * q - 2), start=1):
+        total = deque(binomial_power_sums(m, 2, 1, q), maxlen=1).pop()
+        nxt = math.comb(m, q + 1)
         if (3 * q + 1) * total <= (q + 1) * nxt * nxt:
             return Verdict(
                 "right-peak-inequality", False, checked,
                 f"q={q}, m={m}: (3q+1)*S <= (q+1)*C(m,q+1)^2",
             )
-    return Verdict("right-peak-inequality", True, checked, None)
+    return Verdict("right-peak-inequality", True, 3, None)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,10 +60,12 @@ __all__ = [
     "SweepReport",
     "ThresholdResult",
     "ColumnCheck",
+    "cell_sequences",
     "evaluate_cell",
     "run_sweep",
     "check_column_monotonicity",
     "check_l_threshold",
+    "headline_csv",
     "export_csv",
     "load_csv_table",
     "export_json",
@@ -158,20 +161,27 @@ class CellResult:
         )
 
 
+def cell_sequences(l: int, a: Fraction, m_min: int, m_max: int) -> Iterator[ExactSequence]:
+    """Yield the sequence of every m = m_min..m_max for one (l, a).
+
+    The denominators D_r do not depend on m, so they are computed once.
+    """
+    dens = scaled_row_sums(l, a, m_max)
+    for m in range(m_min, m_max + 1):
+        params = SeqParams(m, l, a)
+        yield ExactSequence(params, tuple(scaled_prefix_sums(m, l, a)), tuple(dens[: m + 1]))
+
+
 def evaluate_cell(l: int, a: int, m_max: int) -> CellResult:
     """Scan every m = 1..m_max for one (l, a); denominators computed once."""
     weight = Fraction(a)
-    dens = scaled_row_sums(l, weight, m_max)
     non_lc: list[int] = []
     uni_viol: list[int] = []
     misses: list[int] = []
     nonuniq: list[int] = []
     exceptions: list[int] = []
-    for m in range(1, m_max + 1):
-        params = SeqParams(m, l, weight)
-        seq = ExactSequence(
-            params, tuple(scaled_prefix_sums(m, l, weight)), tuple(dens[: m + 1])
-        )
+    for seq in cell_sequences(l, weight, 1, m_max):
+        params, m = seq.params, seq.params.m
         result = scan(seq)
         if not result.log_concavity.log_concave:
             non_lc.append(m)
@@ -351,7 +361,8 @@ def run_sweep(
     ``shard_dir``: finished cells are journaled there as JSON and reloaded
     (after validating parameters) on a rerun, so interrupted sweeps resume.
     ``progress``: optional callable invoked as progress(done, total, cell).
-    The report is identical for any ``processes`` value.
+    At most one worker is started per pending cell and per CPU.  The report
+    is identical for any ``processes`` value.
     """
     if processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")
@@ -369,6 +380,7 @@ def run_sweep(
     pending = [(l, a, grid.m_max) for (l, a) in keys if (l, a) not in cells]
     done = len(cells)
     total = len(keys)
+    processes = min(processes, len(pending), os.cpu_count() or 1)
 
     def finish(cell: CellResult) -> None:
         nonlocal done
@@ -379,7 +391,7 @@ def run_sweep(
         if progress is not None:
             progress(done, total, cell)
 
-    if processes > 1 and pending:
+    if processes > 1:
         with multiprocessing.Pool(processes) as pool:
             for cell in pool.imap(_cell_worker, pending):
                 finish(cell)
@@ -416,27 +428,30 @@ def check_l_threshold(a: int, m: int, l_max: int) -> ThresholdResult:
     return ThresholdResult(a, m, l_max, threshold, persistent, tuple(failing))
 
 
-def export_csv(report: SweepReport, path: str) -> None:
-    r"""Write the headline table: header ``l\a,1,2,...``, one row per l,
-    absent (all log-concave) cells as 0, newline-terminated lines.
+def headline_csv(report: SweepReport) -> str:
+    r"""The headline table: header ``l\a,1,2,...``, one row per l, absent
+    (all log-concave) cells as 0, newline-terminated lines.
 
-    Partial reports write only the l-rows that have at least one recorded
-    cell; a report with no cells writes just the header.
+    Partial reports give only the l-rows that have at least one recorded
+    cell; a report with no cells gives just the header.
     """
     grid = report.grid
-    header = "l\\a," + ",".join(str(a) for a in grid.a_values)
-    lines = [header]
+    lines = ["l\\a," + ",".join(str(a) for a in grid.a_values)]
     for l in grid.l_values:
         row_cells = [report.cells.get((l, a)) for a in grid.a_values]
-        if all(cell is None for cell in row_cells):
-            continue
-        row = [str(l)]
-        for cell in row_cells:
-            largest = cell.largest_non_lc_m if cell is not None else None
-            row.append(str(largest or 0))
-        lines.append(",".join(row))
+        if any(cell is not None for cell in row_cells):
+            row = [str(l)] + [
+                str(cell.largest_non_lc_m or 0) if cell is not None else "0"
+                for cell in row_cells
+            ]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def export_csv(report: SweepReport, path: str) -> None:
+    """Write ``headline_csv(report)`` to ``path``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(headline_csv(report))
 
 
 def load_csv_table(path: str) -> dict:

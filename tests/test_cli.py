@@ -1,10 +1,11 @@
 """End-to-end CLI tests driven through ``main(argv)``."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from powsumseq import load_json
+from powsumseq import SeqParams, conjecture_report, load_json
 from powsumseq.cli import build_parser, main
 
 
@@ -97,6 +98,22 @@ class TestPeak:
         code, _, err = run_cli(capsys, "peak", "--m-max", "1", "--l", "2", "--a", "1")
         assert code == 2
         assert "error" in err
+
+    def test_bad_power_rejected_before_row_sums(self, capsys):
+        code, _, err = run_cli(capsys, "peak", "--m-max", "5000", "--l", "0", "--a", "2/3")
+        assert code == 2
+        assert "l must be >= 1" in err
+
+    def test_json_matches_per_m_reports(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "peak", "--m-max", "40", "--l", "4", "--a", "3/5", "--json"
+        )
+        reports = [
+            conjecture_report(SeqParams(m, 4, Fraction(3, 5))).to_json_dict()
+            for m in range(2, 41)
+        ]
+        assert code == 0
+        assert out == json.dumps(reports, indent=1) + "\n"
 
 
 class TestPolycert:

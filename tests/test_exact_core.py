@@ -4,13 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powsumseq import (
     ExactSequence,
     SeqParams,
     binomial,
+    binomial_power_sums,
     central_binomial_sequence,
     full_sequence,
     parse_rational,
@@ -142,6 +143,41 @@ class TestWeightedPowerSum:
     def test_matches_oracle(self, m, l, a, data):
         r = data.draw(st.integers(0, m))
         assert weighted_power_sum(m, l, a, r) == oracle_power_sum(m, l, a, r)
+
+
+class TestBinomialPowerSums:
+    @given(
+        st.integers(0, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.integers(1, 5),
+        st.one_of(st.just(Fraction(1)), small_rationals),
+    )
+    @example((0, 0), 3, Fraction(1))
+    @example((0, 0), 2, Fraction(2, 3))
+    @example((9, 9), 2, Fraction(1))
+    @example((9, 4), 3, Fraction(1))
+    @example((9, 9), 3, Fraction(5, 2))
+    @example((9, 4), 4, Fraction(2, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_comb_definition(self, n_r, l, a):
+        n, r_max = n_r
+        p, q = a.numerator, a.denominator
+        expected = [
+            sum(
+                math.comb(n, i) ** l * p ** (i * l) * q ** ((r - i) * l)
+                for i in range(r + 1)
+            )
+            for r in range(r_max + 1)
+        ]
+        assert list(binomial_power_sums(n, l, a, r_max)) == expected
+
+    def test_streams_without_building_the_whole_row(self):
+        n = 10**9
+        sums = binomial_power_sums(n, 2, Fraction(1), n)
+        assert [next(sums) for _ in range(3)] == [
+            1,
+            1 + n**2,
+            1 + n**2 + math.comb(n, 2) ** 2,
+        ]
 
 
 class TestScaledArrays:

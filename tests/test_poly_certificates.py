@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from powsumseq import (
     CertificateError,
+    poly_certificates,
     IntPoly,
     build_cert_table,
     dump_polynomials,
@@ -240,6 +241,35 @@ class TestPeakInequalities:
     def test_right_validation(self):
         with pytest.raises(ValueError):
             verify_right_peak_inequality(0)
+
+    @staticmethod
+    def _perturb(monkeypatch, n, j, change):
+        """Make the prefix sums S(j) of C(n, i)^2 read ``change(S(j))``."""
+        original = poly_certificates.binomial_power_sums
+
+        def perturbed(m, l, a, r_max):
+            for i, s in enumerate(original(m, l, a, r_max)):
+                yield change(s) if (m, i) == (n, j) else s
+
+        monkeypatch.setattr(poly_certificates, "binomial_power_sums", perturbed)
+
+    def test_left_fails_on_perturbed_sums(self, monkeypatch):
+        # m = 10, r = 4: S(2) = 56 -> 5600 breaks the rise at j = 3.
+        self._perturb(monkeypatch, 10, 2, lambda s: 100 * s)
+        verdict = verify_left_peak_inequality(10)
+        assert not verdict.passed
+        assert verdict.checked == 3
+        assert verdict.first_failure == "m=10, j=3: 10*S(2) >= 4*C(10,3)^2"
+        assert verify_left_peak_inequality(11).passed
+
+    def test_right_fails_on_perturbed_sums(self, monkeypatch):
+        # q = 4 checks m = 12, 11, 10; zero the m = 11 sum up to i = q.
+        self._perturb(monkeypatch, 11, 4, lambda s: 0)
+        verdict = verify_right_peak_inequality(4)
+        assert not verdict.passed
+        assert verdict.checked == 2
+        assert verdict.first_failure == "q=4, m=11: (3q+1)*S <= (q+1)*C(m,q+1)^2"
+        assert verify_right_peak_inequality(5).passed
 
 
 class TestRunAll:

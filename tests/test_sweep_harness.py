@@ -2,19 +2,24 @@
 counts, shard resume behaviour, and the CSV/JSON export formats."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from powsumseq import (
+    SeqParams,
     SweepGrid,
     SweepReport,
     check_column_monotonicity,
     check_l_threshold,
     evaluate_cell,
+    full_sequence,
     run_sweep,
+    sweep_harness,
 )
 from powsumseq.sweep_harness import (
     CellResult,
+    cell_sequences,
     export_csv,
     export_json,
     load_csv_table,
@@ -77,6 +82,12 @@ class TestEvaluateCell:
         assert cell.window_misses == ()
         assert cell.non_lc_ms == ()
 
+    def test_cell_sequences_match_full_sequence(self):
+        a = Fraction(3, 2)
+        seqs = list(cell_sequences(4, a, 2, 9))
+        assert [seq.params.m for seq in seqs] == list(range(2, 10))
+        assert seqs == [full_sequence(SeqParams(m, 4, a)) for m in range(2, 10)]
+
     def test_cell_json_round_trip(self):
         cell = evaluate_cell(11, 5, 20)
         assert cell.non_lc_ms == (15,)
@@ -113,6 +124,37 @@ class TestRunSweep:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_sweep(SMALL_GRID, processes=0)
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        sizes = []
+
+        class PoolRecorder:
+            """Stands in for multiprocessing.Pool; runs the cells in-process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sweep_harness.multiprocessing, "Pool", PoolRecorder)
+        monkeypatch.setattr(sweep_harness.os, "cpu_count", lambda: 4)
+        three = SweepGrid((1, 3), (1, 1), 5)
+        six = SweepGrid((1, 3), (1, 2), 5)
+        serial = run_sweep(three)
+        assert run_sweep(three, processes=10**6) == serial  # capped by pending cells
+        run_sweep(six, processes=10**6)  # capped by CPUs
+        run_sweep(six, processes=2)
+        assert sizes == [3, 4, 2]
+        monkeypatch.setattr(sweep_harness.os, "cpu_count", lambda: None)
+        assert run_sweep(three, processes=8) == serial  # one CPU: no pool
+        assert sizes == [3, 4, 2]
 
 
 class TestSharding:
