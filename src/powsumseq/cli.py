@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .asymptotics import TheoryViolation, central_ratio, conjectured_ratio, sandwich_bounds
 from .exact_core import SeqParams, full_sequence, parse_rational
-from .poly_certificates import build_cert_table, dump_polynomials, run_all
+from .poly_certificates import build_cert_table, dump_polynomials, run_battery
 from .property_checks import PropertyReport, conjecture_report, peak_window
 from .sweep_harness import (
     SweepGrid,
@@ -193,8 +193,9 @@ def _cmd_peak(args) -> int:
 
 
 def _cmd_polycert(args) -> int:
-    report = run_all(
-        n_max=args.n_max,
+    table = build_cert_table(args.n_max)
+    report = run_battery(
+        table,
         sign_q_max=args.sign_q_max,
         chain_q_max=args.chain_q_max,
         goal_q_max=args.goal_q_max,
@@ -202,7 +203,7 @@ def _cmd_polycert(args) -> int:
     )
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write(dump_polynomials(build_cert_table(args.n_max)))
+            fh.write(dump_polynomials(table))
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=1))
     else:

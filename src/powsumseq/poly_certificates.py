@@ -17,10 +17,15 @@ X_n is monic of degree 2n+1 and Y_n is monic of degree 2n.  Writing
     Y_n(t) = sum_{i=0}^{2n} b(n,i) t^i,
 
 the same families satisfy scalar recurrences on the coefficient tables
-a(n,i), b(n,i).  ``build_cert_table`` constructs every polynomial through
-*both* routes — polynomial algebra and the scalar recurrences — and insists
-they agree coefficient by coefficient; disagreement raises
-:class:`CertificateError`.
+
+    b(n+1,j) = b(n,j-2) - (2n-2) b(n,j-1) + (n-1)^2 b(n,j),
+    a(n+1,j) = 4 a(n,j-2) + 4n a(n,j-1) + n^2 a(n,j) + 3 b(n+1,j-1) + b(n+1,j);
+
+with the monic entry a(n,2n+1) = -1 and zero outside each row, one formula
+per table covers every index, the leading ones included.  ``build_cert_table``
+constructs every polynomial through *both* routes — polynomial algebra and
+the scalar recurrences — and insists they agree coefficient by coefficient;
+disagreement raises :class:`CertificateError`.
 
 The verification entry points then check, in exact integer arithmetic:
 
@@ -51,9 +56,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import pairwise
+from itertools import count, islice, pairwise
 
 from .exact_core import binomial_power_sums
 
@@ -71,6 +77,7 @@ __all__ = [
     "verify_left_peak_inequality",
     "verify_right_peak_inequality",
     "run_all",
+    "run_battery",
     "dump_polynomials",
 ]
 
@@ -138,33 +145,31 @@ class IntPoly:
 
 @dataclass(frozen=True)
 class CertTable:
-    """Certificate polynomials and coefficient tables for n = 0..n_max.
+    """Certificate polynomials X_n, Y_n for n = 0..n_max.
 
-    ``x_polys[n]`` and ``y_polys[n]`` are the polynomials; ``a(n, j)`` and
-    ``b(n, j)`` read the scalar tables.  The b rows store b(n,-2) = b(n,-1)
-    = 0 explicitly so the domination inequality can index below zero, and
-    include the monic leading entry b(n,2n) = 1.
+    ``x_polys[n]`` and ``y_polys[n]`` are the polynomials.  ``a(n, j)`` and
+    ``b(n, j)`` read the coefficient tables off them: a(n,j) = -[t^j] X_n and
+    b(n,j) = [t^j] Y_n, with b(n,-2) = b(n,-1) = 0 so the domination
+    inequality can index below zero.
     """
 
     n_max: int
     x_polys: tuple[IntPoly, ...]
     y_polys: tuple[IntPoly, ...]
-    a_rows: tuple[tuple[int, ...], ...]  # row n holds a(n, 0..2n)
-    b_rows: tuple[tuple[int, ...], ...]  # row n holds b(n, -2..2n), offset 2
 
     def a(self, n: int, j: int) -> int:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n must be in [0, {self.n_max}], got {n}")
         if not 0 <= j <= 2 * n:
             raise ValueError(f"j must be in [0, {2 * n}] for n={n}, got {j}")
-        return self.a_rows[n][j]
+        return -self.x_polys[n].coeffs[j]
 
     def b(self, n: int, j: int) -> int:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"n must be in [0, {self.n_max}], got {n}")
         if not -2 <= j <= 2 * n:
             raise ValueError(f"j must be in [-2, {2 * n}] for n={n}, got {j}")
-        return self.b_rows[n][j + 2]
+        return self.y_polys[n].coeffs[j] if j >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -191,70 +196,27 @@ def _fetch(row: list[int], j: int) -> int:
 
 
 def _scalar_b_rows(n_max: int) -> list[list[int]]:
-    """b(n, 0..2n) via the scalar recurrences (edge cases split out)."""
+    """b(n, 0..2n) via the scalar recurrence."""
     rows = [[1]]  # Y_0 = 1
     for n in range(n_max):
-        prev = rows[n]
-        deg = 2 * n + 2
-        shift = 2 * n - 2  # the (2n - 2) multiplier
-        sq = (n - 1) * (n - 1)
-        row = [0] * (deg + 1)
-        for j in range(deg, -1, -1):
-            if j == deg:
-                row[j] = 1
-            elif j == deg - 1:
-                row[j] = _fetch(prev, 2 * n - 1) - shift
-            elif j == 1:
-                row[j] = -shift * _fetch(prev, 0) + sq * _fetch(prev, 1)
-            elif j == 0:
-                row[j] = sq * _fetch(prev, 0)
-            else:
-                row[j] = (
-                    _fetch(prev, j - 2)
-                    - shift * _fetch(prev, j - 1)
-                    + sq * _fetch(prev, j)
-                )
-        rows.append(row)
+        prev, shift, sq = rows[n], 2 * n - 2, (n - 1) * (n - 1)
+        rows.append([
+            _fetch(prev, j - 2) - shift * _fetch(prev, j - 1) + sq * _fetch(prev, j)
+            for j in range(2 * n + 3)
+        ])
     return rows
 
 
-def _scalar_a_rows(n_max: int, b_rows: list[list[int]]) -> list[list[int]]:
-    """a(n, 0..2n) via the scalar recurrences, consuming the b table."""
-    rows = [[-1]]  # X_0 = t + 1 = t - (-1)
+def _scalar_a_rows(n_max: int, b_table: list[list[int]]) -> list[list[int]]:
+    """a(n, 0..2n+1), ending in the monic -1, via the scalar recurrence."""
+    rows = [[-1, -1]]  # X_0 = t + 1
     for n in range(n_max):
-        prev = rows[n]
-        nxt_b = b_rows[n + 1]
-        deg = 2 * n + 2
-        row = [0] * (deg + 1)
-        for j in range(deg, -1, -1):
-            if j == deg:
-                row[j] = -4 * n + 4 * _fetch(prev, 2 * n) + 1 + 3 * _fetch(nxt_b, deg - 1)
-            elif j == deg - 1:
-                row[j] = (
-                    -n * n
-                    + 4 * n * _fetch(prev, 2 * n)
-                    + 4 * _fetch(prev, 2 * n - 1)
-                    + _fetch(nxt_b, j)
-                    + 3 * _fetch(nxt_b, j - 1)
-                )
-            elif j == 1:
-                row[j] = (
-                    n * n * _fetch(prev, 1)
-                    + 4 * n * _fetch(prev, 0)
-                    + _fetch(nxt_b, 1)
-                    + 3 * _fetch(nxt_b, 0)
-                )
-            elif j == 0:
-                row[j] = n * n * _fetch(prev, 0) + _fetch(nxt_b, 0)
-            else:
-                row[j] = (
-                    n * n * _fetch(prev, j)
-                    + 4 * n * _fetch(prev, j - 1)
-                    + 4 * _fetch(prev, j - 2)
-                    + _fetch(nxt_b, j)
-                    + 3 * _fetch(nxt_b, j - 1)
-                )
-        rows.append(row)
+        prev, nxt_b = rows[n], b_table[n + 1]
+        rows.append([
+            n * n * _fetch(prev, j) + 4 * n * _fetch(prev, j - 1) + 4 * _fetch(prev, j - 2)
+            + _fetch(nxt_b, j) + 3 * _fetch(nxt_b, j - 1)
+            for j in range(2 * n + 4)
+        ])
     return rows
 
 
@@ -276,8 +238,8 @@ def build_cert_table(n_max: int) -> CertTable:
         y_polys.append(y_next)
         x_polys.append(x_next)
 
-    b_rows = _scalar_b_rows(n_max)
-    a_rows = _scalar_a_rows(n_max, b_rows)
+    b_scalar = _scalar_b_rows(n_max)
+    a_scalar = _scalar_a_rows(n_max, b_scalar)
 
     for n in range(n_max + 1):
         xp, yp = x_polys[n], y_polys[n]
@@ -285,23 +247,12 @@ def build_cert_table(n_max: int) -> CertTable:
             raise CertificateError(f"X_{n} is not monic of degree {2 * n + 1}")
         if yp.degree != 2 * n or not yp.monic:
             raise CertificateError(f"Y_{n} is not monic of degree {2 * n}")
-        expected_x = tuple(-c for c in a_rows[n]) + (1,)
-        if xp.coeffs != expected_x:
-            raise CertificateError(
-                f"X_{n}: polynomial route and scalar route disagree"
-            )
-        if yp.coeffs != tuple(b_rows[n]):
-            raise CertificateError(
-                f"Y_{n}: polynomial route and scalar route disagree"
-            )
+        if xp.coeffs != tuple(-c for c in a_scalar[n]):
+            raise CertificateError(f"X_{n}: polynomial route and scalar route disagree")
+        if yp.coeffs != tuple(b_scalar[n]):
+            raise CertificateError(f"Y_{n}: polynomial route and scalar route disagree")
 
-    return CertTable(
-        n_max=n_max,
-        x_polys=tuple(x_polys),
-        y_polys=tuple(y_polys),
-        a_rows=tuple(tuple(r) for r in a_rows),
-        b_rows=tuple((0, 0, *r) for r in b_rows),
-    )
+    return CertTable(n_max=n_max, x_polys=tuple(x_polys), y_polys=tuple(y_polys))
 
 
 def _closed_form_specs():
@@ -381,13 +332,13 @@ def verify_domination_bound(table: CertTable) -> Verdict:
     return Verdict("coefficient-domination", True, checked, None)
 
 
-def _xy_values_at(q: int, n: int) -> tuple[int, int]:
-    """(X_n(q), Y_n(q)) by running the defining recurrence on values at t=q."""
+def _xy_values(q: int) -> Iterator[tuple[int, int]]:
+    """Yield (X_k(q), Y_k(q)) for k = 0, 1, ... by the defining recurrence at t = q."""
     x, y = q + 1, 1
-    for k in range(n):
+    for k in count():
+        yield x, y
         y = (q + 1 - k) ** 2 * y
         x = (2 * q + k) ** 2 * x - (3 * q + 1) * y
-    return x, y
 
 
 def verify_sign_certificate(q_max: int) -> Verdict:
@@ -400,7 +351,7 @@ def verify_sign_certificate(q_max: int) -> Verdict:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
     checked = 0
     for q in range(1, q_max + 1):
-        x, y = _xy_values_at(q, q + 1)
+        x, y = next(islice(_xy_values(q), q + 1, None))
         checked += 1
         if x >= 0:
             return Verdict(
@@ -420,27 +371,22 @@ def verify_equivalence_chain(q: int) -> Verdict:
     Link k (0 <= k <= q+1) is the statement
     (3q+1) * S(q-k) * Y_k(q) > X_k(q) * C(3q, q+1-k)^2 with S(-1) = 0.
     Y_k(q) > 0 throughout, so each link is the cross-multiplied form of the
-    division-shaped statement with X_k/Y_k on the right.
+    division-shaped statement with X_k/Y_k on the right.  C(3q, j)^2 is read
+    as S(j) - S(j-1).
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    m = 3 * q
-    sums = list(binomial_power_sums(m, 2, 1, q))
+    sums = [0, *binomial_power_sums(3 * q, 2, 1, q + 1)]  # sums[j + 1] = S(j)
     factor = 3 * q + 1
 
     truths = []
-    x, y = q + 1, 1
-    for k in range(q + 2):
-        if k > 0:
-            y = (q + 1 - k + 1) ** 2 * y  # recurrence step k-1 -> k
-            x = (2 * q + k - 1) ** 2 * x - factor * y
+    for k, (x, y) in zip(range(q + 2), _xy_values(q)):
         if y <= 0:
             return Verdict(
                 "equivalence-chain", False, k + 1, f"q={q}, k={k}: Y_k(q) = {y} <= 0"
             )
-        s = sums[q - k] if k <= q else 0
-        c = math.comb(m, q + 1 - k)
-        truths.append(factor * s * y > x * c * c)
+        s, s_next = sums[q - k + 1], sums[q - k + 2]
+        truths.append(factor * s * y > x * (s_next - s))
 
     checked = len(truths)
     if len(set(truths)) != 1:
@@ -449,7 +395,7 @@ def verify_equivalence_chain(q: int) -> Verdict:
             "equivalence-chain", False, checked,
             f"q={q}: link k={flip} has truth {truths[flip]}, k=0 has {truths[0]}",
         )
-    goal = factor * sums[q] > (q + 1) * math.comb(m, q + 1) ** 2
+    goal = factor * sums[q + 1] > (q + 1) * (sums[q + 2] - sums[q + 1])
     if truths[0] != goal:
         return Verdict(
             "equivalence-chain", False, checked,
@@ -483,14 +429,14 @@ def verify_right_peak_inequality(q: int) -> Verdict:
 
     All three m share the peak index r_m = q, so these are the exact forms
     of the strict fall just past the peak; the smaller two follow from the
-    m = 3q case by descent, but are checked directly here.
+    m = 3q case by descent, but are checked directly here.  C(m,q+1)^2 is
+    read as S(q+1) - S(q).
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     for checked, m in enumerate((3 * q, 3 * q - 1, 3 * q - 2), start=1):
-        total = deque(binomial_power_sums(m, 2, 1, q), maxlen=1).pop()
-        nxt = math.comb(m, q + 1)
-        if (3 * q + 1) * total <= (q + 1) * nxt * nxt:
+        total, upto_next = deque(binomial_power_sums(m, 2, 1, q + 1), maxlen=2)
+        if (3 * q + 1) * total <= (q + 1) * (upto_next - total):  # C(m,q+1)^2
             return Verdict(
                 "right-peak-inequality", False, checked,
                 f"q={q}, m={m}: (3q+1)*S <= (q+1)*C(m,q+1)^2",
@@ -526,35 +472,34 @@ def run_all(
 ) -> CertificateReport:
     """Build the table and run every certificate check at the given bounds."""
     table = build_cert_table(n_max)
+    return run_battery(table, sign_q_max, chain_q_max, goal_q_max, left_m_max)
+
+
+def run_battery(
+    table: CertTable, sign_q_max: int, chain_q_max: int, goal_q_max: int, left_m_max: int
+) -> CertificateReport:
+    """Run every check on a built table.  The report does not hold the table
+    (about 14 MB at n_max = 200); ``polycert --dump`` keeps its own."""
+    n_max = table.n_max
     route_checks = sum(4 * n + 4 for n in range(n_max + 1))  # coeffs per n, X and Y
     verdicts = [Verdict("construction-routes-agree", True, route_checks, None)]
     verdicts.extend(verify_closed_forms(table))
     verdicts.append(verify_domination_bound(table))
     verdicts.append(verify_sign_certificate(sign_q_max))
 
-    chain = Verdict("equivalence-chain", True, 0, None)
-    for q in range(1, chain_q_max + 1):
-        v = verify_equivalence_chain(q)
-        chain = Verdict(chain.name, v.passed, chain.checked + v.checked, v.first_failure)
-        if not v.passed:
-            break
-    verdicts.append(chain)
-
-    right = Verdict("right-peak-inequality", True, 0, None)
-    for q in range(1, goal_q_max + 1):
-        v = verify_right_peak_inequality(q)
-        right = Verdict(right.name, v.passed, right.checked + v.checked, v.first_failure)
-        if not v.passed:
-            break
-    verdicts.append(right)
-
-    left = Verdict("left-peak-inequality", True, 0, None)
-    for m in range(2, left_m_max + 1):
-        v = verify_left_peak_inequality(m)
-        left = Verdict(left.name, v.passed, left.checked + v.checked, v.first_failure)
-        if not v.passed:
-            break
-    verdicts.append(left)
+    families = (
+        ("equivalence-chain", verify_equivalence_chain, range(1, chain_q_max + 1)),
+        ("right-peak-inequality", verify_right_peak_inequality, range(1, goal_q_max + 1)),
+        ("left-peak-inequality", verify_left_peak_inequality, range(2, left_m_max + 1)),
+    )
+    for name, verify, instances in families:
+        total = Verdict(name, True, 0, None)
+        for instance in instances:
+            v = verify(instance)
+            total = Verdict(name, v.passed, total.checked + v.checked, v.first_failure)
+            if not v.passed:
+                break
+        verdicts.append(total)
 
     bounds = {
         "n_max": n_max,

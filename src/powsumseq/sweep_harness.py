@@ -25,6 +25,8 @@ default 20 x 10 x 100 grid cheap.  Cells are independent: they can run in a
 process pool (results are merged in sorted order, so reports are identical
 regardless of worker count) and each finished cell can be journaled to a
 shard directory, letting an interrupted sweep resume without recompute.
+Each shard carries a format number and a sha256 digest of its cell; a shard
+that fails either check is recomputed rather than trusted.
 
 The CSV export lays the headline table out with header ``l\\a,1,2,...`` and
 one row per l; absent (all log-concave) cells are written as 0.  The JSON
@@ -329,12 +331,31 @@ def _shard_path(shard_dir: str, l: int, a: int) -> str:
     return os.path.join(shard_dir, f"cell_l{l:03d}_a{a:03d}.json")
 
 
+SHARD_FORMAT = 1
+
+
+def _cell_digest(cell_dict: dict) -> str:
+    # Imported here: hashlib loads OpenSSL, about 3.5 MB of resident memory
+    # that only sharded sweeps need.
+    import hashlib
+
+    canonical = json.dumps(cell_dict, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def _load_shard(shard_dir: str, l: int, a: int, m_max: int) -> CellResult | None:
+    """The cell stored for (l, a, m_max), or None if it is missing or untrusted.
+
+    A shard of another format, or whose digest does not match its cell, is
+    treated as missing, so the cell is recomputed.
+    """
     path = _shard_path(shard_dir, l, a)
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        cell = CellResult.from_json_dict(data)
+        if data["format"] != SHARD_FORMAT or data["sha256"] != _cell_digest(data["cell"]):
+            return None
+        cell = CellResult.from_json_dict(data["cell"])
     except (OSError, ValueError, KeyError, TypeError):
         return None
     if cell.l != l or cell.a != a or cell.m_max != m_max:
@@ -345,8 +366,10 @@ def _load_shard(shard_dir: str, l: int, a: int, m_max: int) -> CellResult | None
 def _write_shard(shard_dir: str, cell: CellResult) -> None:
     path = _shard_path(shard_dir, cell.l, cell.a)
     tmp = path + ".tmp"
+    cell_dict = cell.to_json_dict()
+    shard = {"format": SHARD_FORMAT, "sha256": _cell_digest(cell_dict), "cell": cell_dict}
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(cell.to_json_dict(), fh)
+        json.dump(shard, fh)
     os.replace(tmp, path)
 
 
@@ -359,7 +382,8 @@ def run_sweep(
     """Evaluate every cell of the grid, optionally in parallel and sharded.
 
     ``shard_dir``: finished cells are journaled there as JSON and reloaded
-    (after validating parameters) on a rerun, so interrupted sweeps resume.
+    (after validating format, digest and parameters) on a rerun, so
+    interrupted sweeps resume.
     ``progress``: optional callable invoked as progress(done, total, cell).
     At most one worker is started per pending cell and per CPU.  The report
     is identical for any ``processes`` value.

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from powsumseq import SeqParams, conjecture_report, load_json
+from powsumseq import (
+    SeqParams,
+    cli,
+    conjecture_report,
+    dump_polynomials,
+    load_json,
+    poly_certificates,
+)
 from powsumseq.cli import build_parser, main
 
 
@@ -143,6 +150,23 @@ class TestPolycert:
         assert lines[0] == "X_0: 1 1"
         assert lines[1] == "Y_0: 1"
         assert len(lines) == 14  # X_n and Y_n for n = 0..6
+
+    def test_dump_builds_the_table_once(self, capsys, tmp_path, monkeypatch):
+        expected = dump_polynomials(poly_certificates.build_cert_table(6))
+        calls = []
+        original = poly_certificates.build_cert_table
+
+        def counting(n_max):
+            calls.append(n_max)
+            return original(n_max)
+
+        monkeypatch.setattr(poly_certificates, "build_cert_table", counting)
+        monkeypatch.setattr(cli, "build_cert_table", counting)
+        dump = tmp_path / "polys.txt"
+        code, _, _ = run_cli(capsys, *self.ARGS, "--dump", str(dump))
+        assert code == 0
+        assert calls == [6]
+        assert dump.read_text() == expected
 
 
 class TestAsympt:

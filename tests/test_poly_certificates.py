@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from powsumseq import (
     CertificateError,
+    Verdict,
     poly_certificates,
     IntPoly,
     build_cert_table,
@@ -45,6 +46,17 @@ EXPECTED_Y = {
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(
     lambda cs: IntPoly(tuple(cs))
 )
+
+
+def _perturb(monkeypatch, n, j, change):
+    """Make the prefix sums S(j) of C(n, i)^2 read ``change(S(j))``."""
+    original = poly_certificates.binomial_power_sums
+
+    def perturbed(m, l, a, r_max):
+        for i, s in enumerate(original(m, l, a, r_max)):
+            yield change(s) if (m, i) == (n, j) else s
+
+    monkeypatch.setattr(poly_certificates, "binomial_power_sums", perturbed)
 
 
 class TestIntPoly:
@@ -120,16 +132,48 @@ class TestBuildCertTable:
             build_cert_table(-1)
 
     def test_value_recurrence_agrees_with_polynomials(self):
-        # The sign certificate evaluates the family by a value recurrence;
-        # the polynomial route must give identical numbers.
-        from powsumseq.poly_certificates import _xy_values_at
+        # The sign certificate and the equivalence chain evaluate the family
+        # by a value recurrence; the polynomial route must give identical
+        # numbers.
+        from powsumseq.poly_certificates import _xy_values
 
         table = build_cert_table(8)
         for q in range(1, 7):
+            values = _xy_values(q)
             for n in range(9):
-                x, y = _xy_values_at(q, n)
+                x, y = next(values)
                 assert x == table.x_polys[n](q)
                 assert y == table.y_polys[n](q)
+
+    @staticmethod
+    def _perturb_rows(monkeypatch, name, n, j, delta):
+        """Make the scalar route ``name`` return row n with entry j moved by delta."""
+        original = getattr(poly_certificates, name)
+
+        def perturbed(*args):
+            rows = original(*args)
+            rows[n][j] += delta
+            return rows
+
+        monkeypatch.setattr(poly_certificates, name, perturbed)
+
+    @pytest.mark.parametrize("j", [2, 7])  # a(3, 7) is the monic entry -1
+    def test_perturbed_a_coefficient_raises(self, monkeypatch, j):
+        self._perturb_rows(monkeypatch, "_scalar_a_rows", 3, j, 1)
+        with pytest.raises(CertificateError, match="X_3: polynomial route"):
+            build_cert_table(4)
+
+    def test_perturbed_b_coefficient_raises(self, monkeypatch):
+        # Feed the a route the true b table, so only the Y_3 comparison fails.
+        true_a_rows = poly_certificates._scalar_a_rows
+        true_b_rows = poly_certificates._scalar_b_rows
+        monkeypatch.setattr(
+            poly_certificates, "_scalar_a_rows",
+            lambda n_max, b_table: true_a_rows(n_max, true_b_rows(n_max)),
+        )
+        self._perturb_rows(monkeypatch, "_scalar_b_rows", 3, 2, 1)
+        with pytest.raises(CertificateError, match="Y_3: polynomial route"):
+            build_cert_table(4)
 
 
 class TestClosedForms:
@@ -210,6 +254,15 @@ class TestEquivalenceChain:
         with pytest.raises(ValueError):
             verify_equivalence_chain(0)
 
+    def test_fails_on_perturbed_sums(self, monkeypatch):
+        # q = 4, m = 12: zeroing S(2) flips link k = 3, whose S(q-k) it is.
+        _perturb(monkeypatch, 12, 2, lambda s: 0)
+        verdict = verify_equivalence_chain(4)
+        assert not verdict.passed
+        assert verdict.checked == 6
+        assert verdict.first_failure == "q=4: link k=3 has truth False, k=0 has True"
+        assert verify_equivalence_chain(5).passed
+
 
 class TestPeakInequalities:
     def test_left_small_m(self):
@@ -242,20 +295,9 @@ class TestPeakInequalities:
         with pytest.raises(ValueError):
             verify_right_peak_inequality(0)
 
-    @staticmethod
-    def _perturb(monkeypatch, n, j, change):
-        """Make the prefix sums S(j) of C(n, i)^2 read ``change(S(j))``."""
-        original = poly_certificates.binomial_power_sums
-
-        def perturbed(m, l, a, r_max):
-            for i, s in enumerate(original(m, l, a, r_max)):
-                yield change(s) if (m, i) == (n, j) else s
-
-        monkeypatch.setattr(poly_certificates, "binomial_power_sums", perturbed)
-
     def test_left_fails_on_perturbed_sums(self, monkeypatch):
         # m = 10, r = 4: S(2) = 56 -> 5600 breaks the rise at j = 3.
-        self._perturb(monkeypatch, 10, 2, lambda s: 100 * s)
+        _perturb(monkeypatch, 10, 2, lambda s: 100 * s)
         verdict = verify_left_peak_inequality(10)
         assert not verdict.passed
         assert verdict.checked == 3
@@ -264,7 +306,7 @@ class TestPeakInequalities:
 
     def test_right_fails_on_perturbed_sums(self, monkeypatch):
         # q = 4 checks m = 12, 11, 10; zero the m = 11 sum up to i = q.
-        self._perturb(monkeypatch, 11, 4, lambda s: 0)
+        _perturb(monkeypatch, 11, 4, lambda s: 0)
         verdict = verify_right_peak_inequality(4)
         assert not verdict.passed
         assert verdict.checked == 2
@@ -293,6 +335,23 @@ class TestRunAll:
         assert payload["passed"] is True
         assert payload["bounds"]["n_max"] == 3
         assert all(check["first_failure"] is None for check in payload["checks"])
+
+    def test_families_stop_at_their_first_failure(self, monkeypatch):
+        # Zeroing S(2) for m = 12 breaks the chain at q = 4 and the rise at
+        # m = 12; checked counts sum every instance up to the failing one.
+        _perturb(monkeypatch, 12, 2, lambda s: 0)
+        report = run_all(n_max=3, sign_q_max=3, chain_q_max=6, goal_q_max=6, left_m_max=14)
+        chain, right, left = report.verdicts[-3:]
+        assert chain == Verdict(
+            "equivalence-chain", False, 3 + 4 + 5 + 6,
+            "q=4: link k=3 has truth False, k=0 has True",
+        )
+        assert right == Verdict("right-peak-inequality", True, 3 * 6, None)
+        assert left == Verdict(
+            "left-peak-inequality", False, sum((m + 2) // 3 for m in range(2, 12)) + 2,
+            "m=12, j=2: 10*S(1) >= 4*C(12,2)^2",
+        )
+        assert not report.passed
 
 
 class TestDump:

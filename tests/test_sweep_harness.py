@@ -199,6 +199,42 @@ class TestSharding:
         for cell in report.cells.values():
             assert cell.m_max == 8
 
+    def test_tampered_shard_recomputed(self, tmp_path):
+        # l = 6, a = 1 up to m = 10: log-concavity fails only at m = 5.
+        grid = SweepGrid((6, 6), (1, 1), 10)
+        shard_dir = str(tmp_path / "shards")
+        run_sweep(grid, shard_dir=shard_dir)
+        path = tmp_path / "shards" / "cell_l006_a001.json"
+        shard = json.loads(path.read_text())
+        assert shard["cell"]["non_lc_ms"] == [5]
+        shard["cell"]["non_lc_ms"] = [7]
+        path.write_text(json.dumps(shard))
+        calls = []
+        report = run_sweep(
+            grid, shard_dir=shard_dir, progress=lambda done, total, cell: calls.append(cell)
+        )
+        assert len(calls) == 1
+        assert report.cells[(6, 1)].largest_non_lc_m == 5
+
+    def test_shard_without_digest_recomputed(self, tmp_path):
+        # A bare cell dict, as shards were written before they carried a
+        # format number and digest, is not trusted.
+        grid = SweepGrid((6, 6), (1, 1), 10)
+        shard_dir = tmp_path / "shards"
+        shard_dir.mkdir()
+        path = shard_dir / "cell_l006_a001.json"
+        cell = evaluate_cell(6, 1, 10)
+        path.write_text(json.dumps(cell.to_json_dict()))
+        calls = []
+        report = run_sweep(
+            grid, shard_dir=str(shard_dir), progress=lambda done, total, c: calls.append(c)
+        )
+        assert len(calls) == 1
+        assert report.cells[(6, 1)] == cell
+        rewritten = json.loads(path.read_text())
+        assert rewritten["format"] == sweep_harness.SHARD_FORMAT
+        assert rewritten["cell"] == cell.to_json_dict()
+
 
 class TestCheckLThreshold:
     def test_documented_examples(self):
