@@ -23,7 +23,7 @@ from fractions import Fraction
 from .asymptotics import TheoryViolation, central_ratio, conjectured_ratio, sandwich_bounds
 from .exact_core import SeqParams, full_sequence, parse_rational
 from .poly_certificates import build_cert_table, dump_polynomials, run_battery
-from .property_checks import PropertyReport, conjecture_report, peak_window
+from .property_checks import PropertyReport, conjecture_report, peak_window, scan
 from .sweep_harness import (
     SweepGrid,
     cell_sequences,
@@ -136,14 +136,6 @@ def _cmd_seq(args) -> int:
     return 0
 
 
-def _report_ok(report: PropertyReport) -> bool:
-    if not report.unimodal:
-        return False
-    if report.params.m < 2 or report.known_exception:
-        return True
-    return report.window_hit and report.unique_max
-
-
 def _cmd_check(args) -> int:
     params = SeqParams(args.m, args.l, args.a)
     report = conjecture_report(params)
@@ -166,21 +158,18 @@ def _cmd_check(args) -> int:
 def _cmd_peak(args) -> int:
     if args.m_max < 2:
         raise ValueError("peak scan needs --m-max >= 2")
-    SeqParams(args.m_max, args.l, args.a)  # rejects a bad --l before the row sums
-    rows = []
-    bad = 0
-    for seq in cell_sequences(args.l, args.a, 2, args.m_max):
-        report = conjecture_report(seq.params, sequence=seq)
-        rows.append(report)
-        if not _report_ok(report):
-            bad += 1
+    rows = [
+        PropertyReport.from_scan(seq.params, scan(seq))
+        for seq in cell_sequences(args.l, args.a, 2, args.m_max)
+    ]
+    bad = sum(not report.conforms for report in rows)
     if args.json:
         print(json.dumps([r.to_json_dict() for r in rows], indent=1))
     else:
         for report in rows:
             if report.known_exception:
                 status = "known-exception"
-            elif _report_ok(report):
+            elif report.conforms:
                 status = "ok"
             else:
                 status = "MISS"

@@ -244,7 +244,11 @@ def known_l1_exception(params: SeqParams) -> bool:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Everything the conjecture checks have to say about one sequence."""
+    """Everything the conjecture checks have to say about one sequence.
+
+    Built by :meth:`from_scan`, the one place the conjecture's window,
+    uniqueness and ``l = 1``-exception rules are applied.
+    """
 
     params: SeqParams
     unimodal: bool
@@ -255,6 +259,39 @@ class PropertyReport:
     conjectured_center: int
     window_hit: bool
     known_exception: bool
+
+    @classmethod
+    def from_scan(cls, params: SeqParams, result: SequenceScan) -> "PropertyReport":
+        """The report on ``params`` given the scan of its sequence.
+
+        ``window_hit`` compares the full peak set against the clamped window
+        {c-1, c, c+1}; ``known_exception`` marks the l = 1 exceptional list.
+        """
+        return cls(
+            params=params,
+            unimodal=result.unimodality.unimodal,
+            log_concave=result.log_concavity.log_concave,
+            first_lc_violation=result.log_concavity.first_violation,
+            peak_set=result.peaks.indices,
+            unique_max=result.peaks.unique,
+            conjectured_center=conjectured_center(params.m, params.a),
+            window_hit=set(result.peaks.indices) <= set(peak_window(params.m, params.a)),
+            known_exception=known_l1_exception(params),
+        )
+
+    @property
+    def peak_rules_apply(self) -> bool:
+        """Whether the peak must be unique and in the window: m >= 2 and
+        (m, l, a) is not a known l = 1 exception."""
+        return self.params.m >= 2 and not self.known_exception
+
+    @property
+    def conforms(self) -> bool:
+        """Whether the sequence is as conjectured: unimodal and, where the
+        peak rules apply, with a unique peak inside the window."""
+        if not self.unimodal:
+            return False
+        return not self.peak_rules_apply or (self.window_hit and self.unique_max)
 
     def to_json_dict(self) -> dict:
         """Flat JSON form; rationals rendered as 'N/D' strings."""
@@ -273,28 +310,6 @@ class PropertyReport:
         }
 
 
-def conjecture_report(params: SeqParams, *, sequence: ExactSequence | None = None) -> PropertyReport:
-    """Build the sequence (unless given) and run every conjecture check.
-
-    ``window_hit`` compares the full peak set against the clamped window
-    {c-1, c, c+1}; ``known_exception`` marks the l = 1 exceptional list.
-    """
-    seq = sequence if sequence is not None else full_sequence(params)
-    if sequence is not None and sequence.params != params:
-        raise ValueError(
-            f"sequence was built for {sequence.params.label()}, not {params.label()}"
-        )
-    result = scan(seq)
-    center = conjectured_center(params.m, params.a)
-    window = set(peak_window(params.m, params.a))
-    return PropertyReport(
-        params=params,
-        unimodal=result.unimodality.unimodal,
-        log_concave=result.log_concavity.log_concave,
-        first_lc_violation=result.log_concavity.first_violation,
-        peak_set=result.peaks.indices,
-        unique_max=result.peaks.unique,
-        conjectured_center=center,
-        window_hit=set(result.peaks.indices) <= window,
-        known_exception=known_l1_exception(params),
-    )
+def conjecture_report(params: SeqParams) -> PropertyReport:
+    """Build the sequence of ``params`` and run every conjecture check."""
+    return PropertyReport.from_scan(params, scan(full_sequence(params)))

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,12 +49,7 @@ from .exact_core import (
     scaled_prefix_sums,
     scaled_row_sums,
 )
-from .property_checks import (
-    check_log_concave,
-    known_l1_exception,
-    peak_window,
-    scan,
-)
+from .property_checks import PropertyReport, check_log_concave, scan
 
 __all__ = [
     "SweepGrid",
@@ -65,7 +60,6 @@ __all__ = [
     "cell_sequences",
     "evaluate_cell",
     "run_sweep",
-    "check_column_monotonicity",
     "check_l_threshold",
     "headline_csv",
     "export_csv",
@@ -166,8 +160,10 @@ class CellResult:
 def cell_sequences(l: int, a: Fraction, m_min: int, m_max: int) -> Iterator[ExactSequence]:
     """Yield the sequence of every m = m_min..m_max for one (l, a).
 
-    The denominators D_r do not depend on m, so they are computed once.
+    The denominators D_r do not depend on m, so they are computed once,
+    after (m_max, l, a) has been validated.
     """
+    SeqParams(m_max, l, a)
     dens = scaled_row_sums(l, a, m_max)
     for m in range(m_min, m_max + 1):
         params = SeqParams(m, l, a)
@@ -175,28 +171,29 @@ def cell_sequences(l: int, a: Fraction, m_min: int, m_max: int) -> Iterator[Exac
 
 
 def evaluate_cell(l: int, a: int, m_max: int) -> CellResult:
-    """Scan every m = 1..m_max for one (l, a); denominators computed once."""
-    weight = Fraction(a)
+    """Scan every m = 1..m_max for one (l, a); denominators computed once.
+
+    Each m is filed under the buckets of its :class:`PropertyReport`.
+    """
     non_lc: list[int] = []
     uni_viol: list[int] = []
     misses: list[int] = []
     nonuniq: list[int] = []
     exceptions: list[int] = []
-    for seq in cell_sequences(l, weight, 1, m_max):
-        params, m = seq.params, seq.params.m
-        result = scan(seq)
-        if not result.log_concavity.log_concave:
+    for seq in cell_sequences(l, Fraction(a), 1, m_max):
+        m = seq.params.m
+        report = PropertyReport.from_scan(seq.params, scan(seq))
+        if not report.log_concave:
             non_lc.append(m)
-        if not result.unimodality.unimodal:
+        if not report.unimodal:
             uni_viol.append(m)
-        if m >= 2:
-            if known_l1_exception(params):
-                exceptions.append(m)
-            else:
-                if not result.peaks.unique:
-                    nonuniq.append(m)
-                if not set(result.peaks.indices) <= set(peak_window(m, weight)):
-                    misses.append(m)
+        if report.known_exception:
+            exceptions.append(m)
+        if report.peak_rules_apply:
+            if not report.unique_max:
+                nonuniq.append(m)
+            if not report.window_hit:
+                misses.append(m)
     return CellResult(
         l=l,
         a=a,
@@ -223,6 +220,17 @@ class ThresholdResult:
     threshold: int | None
     persistent: bool
     failing_ls: tuple[int, ...]
+
+    @classmethod
+    def from_failing(
+        cls, a: int, m: int, l_max: int, failing: Iterable[int]
+    ) -> "ThresholdResult":
+        """The result for the ascending powers ``failing`` <= l_max at which
+        (m, l, a) is not log-concave."""
+        failing = tuple(failing)
+        threshold = failing[0] if failing else None
+        persistent = threshold is None or failing == tuple(range(threshold, l_max + 1))
+        return cls(a, m, l_max, threshold, persistent, failing)
 
 
 @dataclass(frozen=True)
@@ -276,20 +284,17 @@ class SweepReport:
     def threshold_checks(self) -> list[ThresholdResult]:
         """Persistence of the least failing power, for every (a, m) that has
         one, derived from the recorded per-m failures."""
-        l_lo, l_hi = self.grid.l_range
+        l_max = self.grid.l_range[1]
         out = []
         for a in self.grid.a_values:
             failing_by_m: dict[int, list[int]] = {}
             for l in self.grid.l_values:
                 for m in self.cells[(l, a)].non_lc_ms:
                     failing_by_m.setdefault(m, []).append(l)
-            for m in sorted(failing_by_m):
-                ls = sorted(failing_by_m[m])
-                threshold = ls[0]
-                persistent = ls == list(range(threshold, l_hi + 1))
-                out.append(
-                    ThresholdResult(a, m, l_hi, threshold, persistent, tuple(ls))
-                )
+            out.extend(
+                ThresholdResult.from_failing(a, m, l_max, failing_by_m[m])
+                for m in sorted(failing_by_m)
+            )
         return out
 
     def to_json_dict(self) -> dict:
@@ -427,29 +432,17 @@ def run_sweep(
     return SweepReport(grid, ordered)
 
 
-def check_column_monotonicity(report: SweepReport) -> list[ColumnCheck]:
-    """Weak increase of the headline number down every a-column."""
-    return report.column_checks()
-
-
 def check_l_threshold(a: int, m: int, l_max: int) -> ThresholdResult:
     """Recompute, from scratch, the least l <= l_max at which (m, l, a)
     loses log-concavity, and whether the failure persists to l_max."""
     if a < 1 or m < 1 or l_max < 1:
         raise ValueError("need a >= 1, m >= 1, l_max >= 1")
-    weight = Fraction(a)
-    failing = []
-    for l in range(1, l_max + 1):
-        verdict = check_log_concave(full_sequence(SeqParams(m, l, weight)))
-        if not verdict.log_concave:
-            failing.append(l)
-    threshold = failing[0] if failing else None
-    persistent = (
-        True
-        if threshold is None
-        else failing == list(range(threshold, l_max + 1))
-    )
-    return ThresholdResult(a, m, l_max, threshold, persistent, tuple(failing))
+    failing = [
+        l
+        for l in range(1, l_max + 1)
+        if not check_log_concave(full_sequence(SeqParams(m, l, Fraction(a)))).log_concave
+    ]
+    return ThresholdResult.from_failing(a, m, l_max, failing)
 
 
 def headline_csv(report: SweepReport) -> str:

@@ -16,6 +16,7 @@ from powsumseq import (
     build_cert_table,
     dump_polynomials,
     run_all,
+    run_battery,
     verify_closed_forms,
     verify_domination_bound,
     verify_equivalence_chain,
@@ -328,6 +329,11 @@ class TestRunAll:
         assert "right-peak-inequality" in names
         assert "left-peak-inequality" in names
         assert len(names) == 6 + 10  # battery plus one verdict per closed form
+
+    def test_route_count_is_the_compared_coefficients(self):
+        # X_n has 2n + 2 coefficients and Y_n has 2n + 1: 3 + 7 + 11 + 15.
+        report = run_battery(build_cert_table(3), 3, 3, 3, 5)
+        assert report.verdicts[0] == Verdict("construction-routes-agree", True, 36, None)
 
     def test_json_dict(self):
         report = run_all(n_max=3, sign_q_max=3, chain_q_max=3, goal_q_max=3, left_m_max=5)

@@ -2,6 +2,7 @@
 prefix-sum log-concavity property behind the main construction."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powsumseq import (
+    PropertyReport,
     SeqParams,
     central_binomial_sequence,
     check_log_concave,
@@ -225,11 +227,7 @@ class TestConjectureReport:
     def test_accepts_prebuilt_sequence(self):
         params = SeqParams(9, 2, 1)
         seq = full_sequence(params)
-        assert conjecture_report(params, sequence=seq) == conjecture_report(params)
-
-    def test_rejects_mismatched_sequence(self):
-        with pytest.raises(ValueError):
-            conjecture_report(SeqParams(9, 2, 1), sequence=full_sequence(SeqParams(8, 2, 1)))
+        assert PropertyReport.from_scan(params, scan(seq)) == conjecture_report(params)
 
     def test_json_dict_is_flat_and_serialisable(self):
         payload = conjecture_report(SeqParams(7, 3, Fraction(1, 2))).to_json_dict()
@@ -237,6 +235,38 @@ class TestConjectureReport:
         assert payload["a"] == "1/2"
         assert payload["peak_set"] == list(payload["peak_set"])
         assert isinstance(payload["window_hit"], bool)
+
+
+class TestConforms:
+    """The conjecture's verdict on one report."""
+
+    def test_unimodal_unique_peak_in_window(self):
+        assert conjecture_report(SeqParams(20, 2, 1)).conforms
+
+    def test_non_unimodal_fails(self):
+        report = replace(conjecture_report(SeqParams(20, 2, 1)), unimodal=False)
+        assert not report.conforms
+        exception = replace(conjecture_report(SeqParams(12, 1, 1)), unimodal=False)
+        assert not exception.conforms
+
+    def test_l1_exception_is_set_aside(self):
+        report = replace(
+            conjecture_report(SeqParams(12, 1, 1)), window_hit=False, unique_max=False
+        )
+        assert report.known_exception
+        assert report.conforms
+
+    def test_short_sequence_is_set_aside(self):
+        # m = 1: both entries equal 1, so the peak is a tie.
+        report = conjecture_report(SeqParams(1, 3, 2))
+        assert not report.unique_max
+        assert report.conforms
+        assert replace(report, window_hit=False).conforms
+
+    def test_window_miss_or_tie_fails(self):
+        report = conjecture_report(SeqParams(20, 2, 1))
+        assert not replace(report, window_hit=False).conforms
+        assert not replace(report, unique_max=False).conforms
 
 
 class TestAgainstNaiveOracles:

@@ -10,8 +10,8 @@ from powsumseq import (
     SeqParams,
     SweepGrid,
     SweepReport,
-    check_column_monotonicity,
     check_l_threshold,
+    conjecture_report,
     evaluate_cell,
     full_sequence,
     run_sweep,
@@ -88,6 +88,24 @@ class TestEvaluateCell:
         assert [seq.params.m for seq in seqs] == list(range(2, 10))
         assert seqs == [full_sequence(SeqParams(m, 4, a)) for m in range(2, 10)]
 
+    @pytest.mark.parametrize("l, a, m_max", [(1, 1, 15), (6, 1, 10), (9, 2, 10), (11, 5, 20)])
+    def test_buckets_match_per_m_reports(self, l, a, m_max):
+        reports = [conjecture_report(SeqParams(m, l, a)) for m in range(1, m_max + 1)]
+        peak_checked = [r for r in reports if r.params.m >= 2 and not r.known_exception]
+        cell = evaluate_cell(l, a, m_max)
+        assert cell.non_lc_ms == tuple(r.params.m for r in reports if not r.log_concave)
+        assert cell.unimodal_violations == tuple(r.params.m for r in reports if not r.unimodal)
+        assert cell.exception_ms == tuple(r.params.m for r in reports if r.known_exception)
+        assert cell.nonunique_ms == tuple(r.params.m for r in peak_checked if not r.unique_max)
+        assert cell.window_misses == tuple(r.params.m for r in peak_checked if not r.window_hit)
+
+    def test_bad_power_rejected_before_row_sums(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sweep_harness, "scaled_row_sums", lambda *args: calls.append(args))
+        with pytest.raises(ValueError):
+            evaluate_cell(0, 1, 5000)
+        assert calls == []
+
     def test_cell_json_round_trip(self):
         cell = evaluate_cell(11, 5, 20)
         assert cell.non_lc_ms == (15,)
@@ -104,7 +122,7 @@ class TestRunSweep:
     def test_observations_on_small_grid(self, small_report):
         assert small_report.unimodality_all
         assert small_report.window_all
-        assert all(c.monotone for c in check_column_monotonicity(small_report))
+        assert all(c.monotone for c in small_report.column_checks())
         assert all(t.persistent for t in small_report.threshold_checks())
         thresholds = {
             (t.a, t.m): t.threshold for t in small_report.threshold_checks()
@@ -258,6 +276,13 @@ class TestCheckLThreshold:
     def test_validation(self):
         with pytest.raises(ValueError):
             check_l_threshold(0, 5, 20)
+
+    def test_sweep_thresholds_match_recomputation(self):
+        report = run_sweep(SweepGrid((1, 12), (1, 3), 20))
+        thresholds = report.threshold_checks()
+        assert len(thresholds) == 24
+        for t in thresholds:
+            assert t == check_l_threshold(t.a, t.m, 12)
 
 
 class TestColumnChecks:
