@@ -24,7 +24,8 @@ extension ``N_r = N_{r-1} * q**l + C(m, r)**l * p**(r*l)``, so a full row
 costs one new term per step.  The denominators do not depend on ``m`` at
 all, which lets parameter sweeps compute them once per ``(l, a)`` and reuse
 them across every ``m``.  Property checkers compare entries through the
-integer pairs ``(N_r, D_r)`` by cross-multiplication; reduced ``Fraction``
+integer pairs ``(N_r, D_r)``: a float filter on their mantissas, and
+cross-multiplication where the filter cannot decide; reduced ``Fraction``
 entries are materialised only on demand.
 """
 

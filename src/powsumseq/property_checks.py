@@ -1,7 +1,9 @@
 """Exact structural checks on positive rational sequences.
 
-Checks are decided by integer cross-multiplication on numerator/denominator
-pairs — no division, no floats, no reduction to lowest terms:
+Every verdict is exact: a floating-point filter with a proven error bound
+decides the comparisons that are far from a tie, and integer
+cross-multiplication on the numerator/denominator pairs decides the rest.
+No entry is divided out or reduced to lowest terms.
 
 * weak unimodality: the sequence rises (weakly) and then falls (weakly);
   equivalently, no strict rise ever follows a strict fall,
@@ -21,16 +23,57 @@ Every check accepts either an :class:`~powsumseq.exact_core.ExactSequence`
 (whose pre-scaled integer pairs are used as-is) or any iterable of positive
 rationals (Fractions or ints).
 
-Adjacent entries are compared through the products P_r = N_{r+1} * D_r and
-Q_r = N_r * D_{r+1}: the sign of z_{r+1} - z_r is the sign of P_r - Q_r, and
-log-concavity at i reduces to P_{i-1} * Q_i >= P_i * Q_{i-1}, which equals
-the textbook cross-multiplied form N_i^2 D_{i-1} D_{i+1} >= N_{i-1} N_{i+1}
-D_i^2.  Computing P and Q once serves all three checks.
+Exact comparisons.  Adjacent entries z_r = N_r / D_r compare through the
+products P_r = N_{r+1} * D_r and Q_r = N_r * D_{r+1}: the sign of
+z_{r+1} - z_r is the sign of P_r - Q_r, and log-concavity at i reduces to
+P_{i-1} * Q_i >= P_i * Q_{i-1}, which equals the textbook cross-multiplied
+form N_i^2 D_{i-1} D_{i+1} >= N_{i-1} N_{i+1} D_i^2.
+
+The filter (Fortune & Van Wyk 1993; Shewchuk 1997).  Both questions are
+signs of logs: z_{r+1} - z_r has the sign of lambda_r = log(z_{r+1} / z_r),
+and log-concavity at i holds iff lambda_{i-1} - lambda_i >= 0.  Each
+positive integer is split exactly as x = 2**s * (t + theta) with
+s = max(bit_length(x) - 53, 0), t = x >> s and 0 <= theta < 1, so t has at
+most 53 bits and float(t) is exact.  With f_r = fl(tN_r / tD_r),
+e_r = sN_r - sD_r and k = e_{r+1} - e_r,
+
+    lambda_r ~ lam_r = fl(ell_r + fl(k * LN2)),  ell_r = log(fl(f_{r+1} / f_r)).
+
+Error bound, with u = 2**-53 and every rounding to nearest:
+
+* truncation: log x = s ln 2 + log t + log(1 + theta/t), and
+  0 <= log(1 + theta/t) < 2**-52 (t >= 2**52 whenever s > 0, theta = 0
+  otherwise); two operands enter with + and two with -, so < 2**-51;
+* quotient rounding: f_r, f_{r+1} and their quotient are three roundings,
+  each moving the log by at most u / (1 - u): < 2**-51 in all;
+* ``math.log``: glibc states at most 1 ulp; allowing 4 ulp as a safety
+  factor costs at most 2**-50 |log q| <= 2**-49.99 |ell_r|;
+* k * LN2: |LN2 - ln 2| <= 2**-54 and the product rounds by at most
+  u |k LN2|, so together < 2**-52 |k|;
+* the final sum rounds by at most u |ell_r + fl(k LN2)| < 2**-53 (|ell_r| + |k|).
+
+So |lam_r - lambda_r| < 2**-49 * (1 + |ell_r| + |k|), and the filter uses
+twice that,
+
+    eps_r = 2**-48 * (1 + |ell_r| + |k|),
+
+whose slack also absorbs the few roundings made while computing eps_r.
+The sign of z_{r+1} - z_r is decided when |lam_r| > eps_r.  Log-concavity at
+i is decided when |d| > eps_{i-1} + eps_i for d = fl(lam_{i-1} - lam_i):
+the true difference is off by at most half that sum (each eps is twice
+its error) plus the rounding u |d| of the subtraction, which is less than
+|d|.  Every other comparison, which includes every exact tie, falls back to
+the exact products, formed lazily and only for the undecided indices, so
+``strict``, plateaus, ``first_violation`` and the peak set are those of the
+all-products scan.  The peak search of a non-unimodal sequence (the only
+comparisons between non-adjacent entries) is always exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact_core import ExactSequence, SeqParams, full_sequence
@@ -50,6 +93,11 @@ __all__ = [
     "known_l1_exception",
     "conjecture_report",
 ]
+
+# ln 2 correctly rounded to double (0x1.62e42fefa39efp-1).
+_LN2 = 0.6931471805599453
+# 2**-48: twice the 2**-49 factor of the lam_r error bound (module docstring).
+_EPS_UNIT = math.ldexp(1.0, -48)
 
 
 @dataclass(frozen=True)
@@ -88,18 +136,23 @@ class Peaks:
 
 @dataclass(frozen=True)
 class SequenceScan:
-    """Combined result of one pass over a sequence."""
+    """Combined result of one pass over a sequence.
+
+    ``exact_fallbacks`` counts the comparisons decided by integer
+    cross-multiplication rather than by the float filter; it is a work
+    counter, not part of the verdict, so it takes no part in equality.
+    """
 
     unimodality: Unimodality
     log_concavity: LogConcavity
     peaks: Peaks
+    exact_fallbacks: int = field(default=0, compare=False)
 
 
-def _integer_pairs(seq) -> tuple[list[int], list[int]]:
+def _integer_pairs(seq) -> tuple[Sequence[int], Sequence[int]]:
     """Extract positive (numerator, denominator) pairs from any input form."""
     if isinstance(seq, ExactSequence):
-        nums = list(seq.numerators)
-        dens = list(seq.denominators)
+        nums, dens = seq.numerators, seq.denominators
     else:
         nums, dens = [], []
         for value in seq:
@@ -118,7 +171,36 @@ def _integer_pairs(seq) -> tuple[list[int], list[int]]:
     return nums, dens
 
 
-def _scan_pairs(nums: list[int], dens: list[int]) -> SequenceScan:
+def _log_ratios(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[float], list[float]]:
+    """lam_r ~ log(z_{r+1} / z_r) and its error bound eps_r, for each r.
+
+    See the module docstring for the split x = 2**s * (t + theta) and the
+    derivation of eps_r.
+    """
+    lams = []
+    epss = []
+    f_prev = e_prev = None
+    for num, den in zip(nums, dens):
+        sn = num.bit_length() - 53
+        sd = den.bit_length() - 53
+        if sn < 0:
+            sn = 0
+        if sd < 0:
+            sd = 0
+        # Both shifted operands are below 2**53, so the quotient is rounded once.
+        f = (num >> sn) / (den >> sd)
+        e = sn - sd
+        if f_prev is not None:
+            ell = math.log(f / f_prev)
+            k = e - e_prev
+            lams.append(ell + k * _LN2)
+            epss.append(_EPS_UNIT * (1.0 + abs(ell) + abs(k)))
+        f_prev = f
+        e_prev = e
+    return lams, epss
+
+
+def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
     n = len(nums)
     if n == 1:
         return SequenceScan(
@@ -127,10 +209,29 @@ def _scan_pairs(nums: list[int], dens: list[int]) -> SequenceScan:
             Peaks((0,), True),
         )
 
-    # P[r] vs Q[r] compares z_{r+1} with z_r.
-    P = [nums[r + 1] * dens[r] for r in range(n - 1)]
-    Q = [nums[r] * dens[r + 1] for r in range(n - 1)]
-    signs = [(P[r] > Q[r]) - (P[r] < Q[r]) for r in range(n - 1)]
+    lams, epss = _log_ratios(nums, dens)
+    exact = 0
+    # (P_r, Q_r) compares z_{r+1} with z_r; formed only where the filter
+    # leaves a comparison undecided.
+    pq: dict[int, tuple[int, int]] = {}
+
+    def products(r: int) -> tuple[int, int]:
+        if r not in pq:
+            pq[r] = (nums[r + 1] * dens[r], nums[r] * dens[r + 1])
+        return pq[r]
+
+    signs = []
+    for r in range(n - 1):
+        lam = lams[r]
+        eps = epss[r]
+        if lam > eps:
+            signs.append(1)
+        elif lam < -eps:
+            signs.append(-1)
+        else:
+            exact += 1
+            p, q = products(r)
+            signs.append((p > q) - (p < q))
 
     fallen = False
     unimodal = True
@@ -144,8 +245,18 @@ def _scan_pairs(nums: list[int], dens: list[int]) -> SequenceScan:
     first_violation = None
     strict = True
     for i in range(1, n - 1):
-        lhs = P[i - 1] * Q[i]
-        rhs = P[i] * Q[i - 1]
+        d = lams[i - 1] - lams[i]
+        bound = epss[i - 1] + epss[i]
+        if d > bound:
+            continue
+        if d < -bound:
+            first_violation = i
+            break
+        exact += 1
+        p_prev, q_prev = products(i - 1)
+        p_here, q_here = products(i)
+        lhs = p_prev * q_here
+        rhs = p_here * q_prev
         if lhs < rhs:
             first_violation = i
             break
@@ -168,6 +279,7 @@ def _scan_pairs(nums: list[int], dens: list[int]) -> SequenceScan:
         plateau = None
         best = [0]
         for r in range(1, n):
+            exact += 1
             cmp_lhs = nums[r] * dens[best[0]]
             cmp_rhs = nums[best[0]] * dens[r]
             if cmp_lhs > cmp_rhs:
@@ -181,6 +293,7 @@ def _scan_pairs(nums: list[int], dens: list[int]) -> SequenceScan:
         LogConcavity(first_violation is None, first_violation,
                      strict and first_violation is None),
         Peaks(peak_list, len(peak_list) == 1),
+        exact,
     )
 
 

@@ -327,7 +327,7 @@ def test_criterion_9_scan_cross_validation():
         if not scan(prefix).log_concavity.log_concave:
             prefix_bad += 1
 
-    # (b) the division-free comparisons agree with naive Fraction arithmetic
+    # (b) the filtered comparisons agree with naive Fraction arithmetic
     # on 300 random positive sequences.
     naive_bad = 0
     for _ in range(300):

@@ -1,17 +1,23 @@
-"""Structural-check tests: frozen examples, naive-oracle agreement, and the
-prefix-sum log-concavity property behind the main construction."""
+"""Structural-check tests: frozen examples, naive-oracle agreement, the
+float filter against the exact all-products scan, and the prefix-sum
+log-concavity property behind the main construction."""
 
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powsumseq import (
+    ExactSequence,
+    LogConcavity,
+    Peaks,
     PropertyReport,
     SeqParams,
+    SequenceScan,
+    Unimodality,
     central_binomial_sequence,
     check_log_concave,
     check_unimodal,
@@ -57,6 +63,86 @@ def naive_peaks(entries):
     values = [Fraction(e) for e in entries]
     top = max(values)
     return tuple(i for i, v in enumerate(values) if v == top)
+
+
+# ---------------------------------------------------------------------------
+# Exact oracle: every adjacent comparison and every second difference decided
+# by integer cross-multiplication, with no float filter.
+# ---------------------------------------------------------------------------
+
+def exact_scan_pairs(nums, dens) -> SequenceScan:
+    n = len(nums)
+    if n == 1:
+        return SequenceScan(
+            Unimodality(True, (0, 0)),
+            LogConcavity(True, None, True),
+            Peaks((0,), True),
+        )
+
+    # P[r] vs Q[r] compares z_{r+1} with z_r.
+    P = [nums[r + 1] * dens[r] for r in range(n - 1)]
+    Q = [nums[r] * dens[r + 1] for r in range(n - 1)]
+    signs = [(P[r] > Q[r]) - (P[r] < Q[r]) for r in range(n - 1)]
+
+    fallen = False
+    unimodal = True
+    for s in signs:
+        if s < 0:
+            fallen = True
+        elif s > 0 and fallen:
+            unimodal = False
+            break
+
+    first_violation = None
+    strict = True
+    for i in range(1, n - 1):
+        lhs = P[i - 1] * Q[i]
+        rhs = P[i] * Q[i - 1]
+        if lhs < rhs:
+            first_violation = i
+            break
+        if lhs == rhs:
+            strict = False
+
+    if unimodal:
+        last_rise = -1
+        first_fall = -1
+        for r in range(n - 1):
+            if signs[r] > 0:
+                last_rise = r
+            elif signs[r] < 0 and first_fall < 0:
+                first_fall = r
+        lo = last_rise + 1
+        hi = first_fall if first_fall >= 0 else n - 1
+        plateau = (lo, hi)
+        peak_list = tuple(range(lo, hi + 1))
+    else:
+        plateau = None
+        best = [0]
+        for r in range(1, n):
+            cmp_lhs = nums[r] * dens[best[0]]
+            cmp_rhs = nums[best[0]] * dens[r]
+            if cmp_lhs > cmp_rhs:
+                best = [r]
+            elif cmp_lhs == cmp_rhs:
+                best.append(r)
+        peak_list = tuple(best)
+
+    return SequenceScan(
+        Unimodality(unimodal, plateau),
+        LogConcavity(first_violation is None, first_violation,
+                     strict and first_violation is None),
+        Peaks(peak_list, len(peak_list) == 1),
+    )
+
+
+def exact_scan(entries) -> SequenceScan:
+    if isinstance(entries, ExactSequence):
+        return exact_scan_pairs(entries.numerators, entries.denominators)
+    fracs = [Fraction(e) for e in entries]
+    return exact_scan_pairs(
+        [f.numerator for f in fracs], [f.denominator for f in fracs]
+    )
 
 
 def random_log_concave(rng: random.Random, length: int) -> list[Fraction]:
@@ -302,3 +388,107 @@ class TestAgainstNaiveOracles:
             acc += x * y
             prefix.append(acc)
         assert check_log_concave(prefix).log_concave
+
+
+# ---------------------------------------------------------------------------
+# The float filter against the exact all-products scan.
+# ---------------------------------------------------------------------------
+
+# A few values, two of them 1 +- 10**-40, so that drawn lists are full of
+# ties, plateaus, non-unimodal dips and near-ties.
+tie_pool = st.sampled_from([
+    Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 7),
+    Fraction(10**40 + 1, 10**40), Fraction(10**40, 10**40 + 1),
+])
+tied_sequences = st.lists(tie_pool, min_size=1, max_size=14)
+geometric_ratios = st.fractions(
+    min_value=Fraction(1, 30), max_value=Fraction(30), max_denominator=30
+)
+
+
+def expected_exact_comparisons(result: SequenceScan, n: int) -> int:
+    """Comparisons a scan of n entries makes when the filter decides none."""
+    examined = result.log_concavity.first_violation or max(n - 2, 0)
+    peak_search = 0 if result.unimodality.unimodal else n - 1
+    return (n - 1) + examined + peak_search
+
+
+def near_tie_entries(k: int, deltas, seed: int) -> list[Fraction]:
+    """z_0 = x / y of 2000 bits each, then z_{r+1} = z_r * (1 + delta_r / 2**k).
+
+    Adjacent ratios are 1 + delta * 2**-k and the second differences of
+    log z are about (delta_{i-1} - delta_i) * 2**-k, exactly 0 where two
+    consecutive deltas agree.
+    """
+    rng = random.Random(seed)
+    entry = Fraction(rng.getrandbits(2000) | 1 << 1999, rng.getrandbits(2000) | 1 << 1999)
+    entries = [entry]
+    for delta in deltas:
+        entry *= Fraction((1 << k) + delta, 1 << k)
+        entries.append(entry)
+    return entries
+
+
+class TestFilterAgainstExactOracle:
+    @pytest.mark.parametrize("above_one", [True, False])
+    @given(
+        m=st.integers(0, 120),
+        l=st.integers(1, 20),
+        p=st.integers(1, 10**6),
+        q=st.integers(1, 10**6),
+    )
+    @example(m=120, l=20, p=10**6, q=10**6 - 1)
+    @example(m=120, l=1, p=10**6, q=1)
+    @example(m=80, l=13, p=999_983, q=3)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_random_parameters(self, above_one, m, l, p, q):
+        big, small = max(p, q), min(p, q)
+        a = Fraction(big, small) if above_one else Fraction(small, big)
+        seq = full_sequence(SeqParams(m, l, a))
+        assert scan(seq) == exact_scan(seq)
+
+    @given(tied_sequences, st.booleans())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_ties_plateaus_and_dips(self, middle, unit_ends):
+        entries = [1, *middle, 1] if unit_ends else middle
+        assert scan(entries) == exact_scan(entries)
+
+    @given(geometric_ratios, geometric_ratios, st.integers(1, 16))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_geometric_is_never_strict(self, first, ratio, length):
+        entries = [first * ratio**r for r in range(length)]
+        result = scan(entries)
+        assert result == exact_scan(entries)
+        assert result.log_concavity.log_concave
+        assert result.log_concavity.strict == (length < 3)
+
+    @pytest.mark.parametrize("k", [60, 64, 200, 1000, 3000])
+    def test_near_ties_all_go_exact(self, k):
+        rng = random.Random(k)
+        patterns = [
+            [1] * 8,
+            [-1] * 8,
+            [0] * 8,
+            [1, 1, 0, 0, -1, -1],
+            [1, 0, 1, -1],
+            [-1, 1, 1, -1],
+            [1, -1, 1, -1, 1],
+        ] + [[rng.choice((-1, 0, 1)) for _ in range(9)] for _ in range(6)]
+        for seed, deltas in enumerate(patterns):
+            entries = near_tie_entries(k, deltas, seed)
+            result = scan(entries)
+            assert result == exact_scan(entries), (k, deltas)
+            assert result.exact_fallbacks == expected_exact_comparisons(
+                result, len(entries)
+            ), (k, deltas)
+
+
+class TestExactFallbacks:
+    def test_central_m2000_needs_none(self):
+        assert scan(central_binomial_sequence(2000)).exact_fallbacks == 0
+
+    @pytest.mark.parametrize("ratio", [Fraction(3, 2), Fraction(2, 3), Fraction(7)])
+    @pytest.mark.parametrize("length", [3, 10, 50])
+    def test_geometric_takes_one_per_interior_index(self, ratio, length):
+        entries = [Fraction(5, 3) * ratio**r for r in range(length)]
+        assert scan(entries).exact_fallbacks == length - 2
