@@ -53,6 +53,7 @@ __all__ = [
     "log_of_rational",
     "sandwich_bounds",
     "central_ratio",
+    "central_bounds_and_ratio",
     "conjectured_ratio",
 ]
 
@@ -140,20 +141,15 @@ class SandwichBounds:
 
 def _central_peak(m: int) -> tuple[int, int, int]:
     """(r_m, sum_{i<=r_m} C(m,i)^2, C(2 r_m, r_m)) for the central sequence."""
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
     r = (m + 2) // 3
     total = deque(binomial_power_sums(m, 2, 1, r), maxlen=1).pop()
     return r, total, math.comb(2 * r, r)
 
 
-def sandwich_bounds(m: int) -> SandwichBounds:
-    """Exact sandwich around the central peak; containment is re-verified.
-
-    Violation of the strict containment would contradict proven theory, so
-    it raises :class:`TheoryViolation` rather than returning.
-    """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    r, total, central = _central_peak(m)
+def _sandwich(m: int, peak: tuple[int, int, int]) -> SandwichBounds:
+    r, total, central = peak
     binom_sq = math.comb(m, r) ** 2
     value = Fraction(total, central)
     lower = (
@@ -168,6 +164,15 @@ def sandwich_bounds(m: int) -> SandwichBounds:
             f"{lower} < {value} < {upper} is false"
         )
     return SandwichBounds(m, r, lower, value, upper)
+
+
+def sandwich_bounds(m: int) -> SandwichBounds:
+    """Exact sandwich around the central peak; containment is re-verified.
+
+    Violation of the strict containment would contradict proven theory, so
+    it raises :class:`TheoryViolation` rather than returning.
+    """
+    return _sandwich(m, _central_peak(m))
 
 
 @dataclass(frozen=True)
@@ -188,15 +193,8 @@ class RatioResult:
         }
 
 
-def central_ratio(m: int) -> RatioResult:
-    """g(r_m) / (3^(2m+1/2) / (2^(2m) sqrt(pi m))) for the central sequence.
-
-    Tends to 1 from below as m grows.  Runs entirely in log space, so it
-    stays finite for m far beyond float overflow of the peak itself.
-    """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    _, total, central = _central_peak(m)
+def _central_law_ratio(m: int, peak: tuple[int, int, int]) -> RatioResult:
+    _, total, central = peak
     log_peak = _log_ratio(total, central)
     log_ratio = (
         log_peak.value
@@ -205,6 +203,21 @@ def central_ratio(m: int) -> RatioResult:
         - (2 * m + 0.5) * _LN3
     )
     return RatioResult(m, math.exp(log_ratio), log_peak.value, log_peak.error)
+
+
+def central_ratio(m: int) -> RatioResult:
+    """g(r_m) / (3^(2m+1/2) / (2^(2m) sqrt(pi m))) for the central sequence.
+
+    Tends to 1 from below as m grows.  Runs entirely in log space, so it
+    stays finite for m far beyond float overflow of the peak itself.
+    """
+    return _central_law_ratio(m, _central_peak(m))
+
+
+def central_bounds_and_ratio(m: int) -> tuple[SandwichBounds, RatioResult]:
+    """``(sandwich_bounds(m), central_ratio(m))`` from one central peak sum."""
+    peak = _central_peak(m)
+    return _sandwich(m, peak), _central_law_ratio(m, peak)
 
 
 def conjectured_ratio(params: SeqParams) -> RatioResult:

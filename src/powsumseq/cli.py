@@ -20,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .asymptotics import TheoryViolation, central_ratio, conjectured_ratio, sandwich_bounds
+from .asymptotics import TheoryViolation, central_bounds_and_ratio, conjectured_ratio
 from .exact_core import SeqParams, full_sequence, parse_rational
 from .poly_certificates import build_cert_table, dump_polynomials, run_battery
 from .property_checks import PropertyReport, conjecture_report, peak_window, scan
@@ -209,9 +209,9 @@ def _cmd_asympt(args) -> int:
     for m in args.m_list:
         entry: dict = {"m": m}
         if central_case:
-            bounds = sandwich_bounds(m)
+            bounds, ratio = central_bounds_and_ratio(m)
             entry["sandwich"] = bounds.to_json_dict()
-            entry["central"] = central_ratio(m).to_json_dict()
+            entry["central"] = ratio.to_json_dict()
         entry["conjectured"] = conjectured_ratio(SeqParams(m, args.l, args.a)).to_json_dict()
         payload.append(entry)
     if args.json:

@@ -27,16 +27,63 @@ them across every ``m``.  Property checkers compare entries through the
 integer pairs ``(N_r, D_r)``: a float filter on their mantissas, and
 cross-multiplication where the filter cannot decide; reduced ``Fraction``
 entries are materialised only on demand.
+
+Row sums by certified recurrences.  Summed term by term, D_0..D_n cost
+Theta(n**2) big-integer terms.  For l <= 3, ``scaled_row_sums`` instead
+steps a linear recurrence of order J from the table ``_ROW_RECURRENCES``.
+With ``P = p**l`` and ``Q = q**l`` it reads ``sum_{j=0}^{J} c_j(r) D_{r+j} = 0``,
+where each c_j is a polynomial in r times forms in P, Q homogeneous of
+degree J - j:
+
+    l = 1:  D_{r+1} = (P+Q) D_r
+    l = 2:  (r+2) D_{r+2} = (2r+3)(P+Q) D_{r+1} - (r+1)(Q-P)^2 D_r
+    l = 3:  (r+3)^2 (3r+4) D_{r+3} = (P+Q)(9r^3+57r^2+116r+74) D_{r+2}
+                - (3r+5)[(3r^2+11r+9)(P^2+Q^2) - (21r^2+77r+66)PQ] D_{r+1}
+                + (r+1)^2 (3r+7)(P+Q)^3 D_r
+
+At p = q the (Q-P)^2 term vanishes and l = 2 gives the central binomial
+coefficients C(2r, r); l = 1 is the binomial theorem, D_r = (p+q)**r.
+
+Each recurrence is proved by creative telescoping (Zeilberger; Petkovsek,
+Wilf and Zeilberger, "A = B", 1996).  Put x = P/Q, F(r, k) = C(r, k)**l x**k
+and S_r = sum_k F(r, k) = D_r / Q**r.  Dividing c_j by Q**(J-j) makes it a
+polynomial c_j(r, x), and a certificate
+
+    G(r, k) = R(r, k, x) * C(r+J-1, k-1)**l * x**k,
+
+with R a polynomial in k and x whose coefficients are rational in r and
+have no pole at r >= 0, satisfies
+
+    sum_j c_j(r, x) F(r+j, k) = G(r, k+1) - G(r, k)    for 0 <= k <= r+J.
+
+Divided by C(r+J, k)**l x**k, which is nonzero there, both sides are
+rational functions of (r, k, x): F(r+j, k) becomes
+(ff(r+J-k, J-j) / ff(r+J, J-j))**l with ff the falling factorial, G(r, k)
+becomes R(r, k, x) (k / (r+J))**l and G(r, k+1) becomes
+x R(r, k+1, x) ((r+J-k) / (r+J))**l.  With denominators cleared this is a
+polynomial identity, which the tests check on a grid larger than its degree
+in each variable.  Summing it over k = 0..r+J, the left side is
+sum_j c_j S_{r+j}, because F(r+j, k) = 0 for k > r+j; the right side
+telescopes to G(r, r+J+1) - G(r, 0) = 0, because C(r+J-1, r+J) and
+C(r+J-1, -1) vanish.  Multiplying by Q**(r+J) gives the recurrence for the
+D_r.  Its leading coefficient has no root at r >= 0, so it determines every
+D_r from D_0..D_{J-1}, and each step is an exact integer division, which
+the code checks.
+
+For l >= 4 no recurrence is certified here, and each D_r is still summed
+term by term.  That direct route is also the test oracle for the
+recurrences.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, islice, repeat
 
 __all__ = [
     "SeqParams",
@@ -179,25 +226,124 @@ def scaled_prefix_sums(m: int, l: int, a: Fraction) -> list[int]:
     return list(binomial_power_sums(m, l, a, m))
 
 
+# Certified recurrences for the row sums, keyed by l.  An entry
+# (lead, shifts) of order J = len(shifts) reads
+#
+#     lead(r) * D_{r+J} = sum_{j<J} sum_{(u, f) in shifts[j]} u(r) * f(P, Q) * D_{r+j}
+#
+# with P = p**l and Q = q**l.  A polynomial u in r lists its coefficients from
+# the constant term up; a form f = (f_0, ..., f_d) in P, Q stands for
+# sum_i f_i * P**i * Q**(d-i) and is homogeneous of degree d = J - j.  The
+# module docstring gives the proof; the certificates are checked in the tests.
+_ROW_RECURRENCES = {
+    # D_{r+1} = (P + Q) D_r
+    1: ((1,), (
+        (((1,), (1, 1)),),
+    )),
+    # (r+2) D_{r+2} = (2r+3)(P+Q) D_{r+1} - (r+1)(Q-P)^2 D_r
+    2: ((2, 1), (
+        (((-1, -1), (1, -2, 1)),),
+        (((3, 2), (1, 1)),),
+    )),
+    # (r+3)^2 (3r+4) D_{r+3} = (P+Q)(9r^3+57r^2+116r+74) D_{r+2}
+    #     - (3r+5)[(3r^2+11r+9)(P^2+Q^2) - (21r^2+77r+66)PQ] D_{r+1}
+    #     + (r+1)^2 (3r+7)(P+Q)^3 D_r
+    3: ((36, 51, 22, 3), (
+        (((7, 17, 13, 3), (1, 3, 3, 1)),),
+        (((-45, -82, -48, -9), (1, 0, 1)), ((330, 583, 336, 63), (0, 1, 0))),
+        (((74, 116, 57, 9), (1, 1)),),
+    )),
+}
+
+
+def _poly_values(coeffs: Sequence[int]) -> Iterator[int]:
+    """The polynomial with these coefficients (constant term first) at r = 0, 1, 2, ...
+
+    Computed as repeated prefix sums of its forward differences at r = 0,
+    one C-level ``accumulate`` per degree instead of a Horner loop per r.
+    """
+    values = [sum(c * r**i for i, c in enumerate(coeffs)) for r in range(len(coeffs))]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [y - x for x, y in zip(values, values[1:])]
+    column = repeat(0)
+    for diff in reversed(diffs):
+        column = accumulate(column, initial=diff)
+    return column
+
+
+def _direct_row_sum(l: int, a: Fraction, r: int) -> int:
+    """D_r as the r + 1 terms of ``binomial_power_sums``."""
+    return deque(binomial_power_sums(r, l, a, r), maxlen=1).pop()
+
+
+def _inexact_step(l: int, a: Fraction, r: int) -> ArithmeticError:
+    return ArithmeticError(f"row-sum recurrence for l={l}, a={a} is not exact at r={r}")
+
+
 def scaled_row_sums(l: int, a: Fraction, r_max: int) -> list[int]:
     """Denominators D_r = P(r, r) * a.denominator**(r*l) for r = 0..r_max.
 
-    Independent of m, so sweeps compute this list once per (l, a).  Two
-    closed forms avoid the quadratic term count of the general row loop:
-    l = 1 gives D_r = (p + q)**r by the binomial theorem, and l = 2 with
-    a = 1 gives the central binomial coefficients D_r = C(2r, r).
+    Independent of m, so sweeps compute this list once per (l, a).  For
+    l <= 3 the row comes from the certified recurrence of order J in
+    ``_ROW_RECURRENCES`` (see the module docstring): D_0..D_{J-1} are summed
+    directly, and every later D_r is the exact quotient of an integer
+    right-hand side by the leading coefficient, a few big-integer
+    operations per index.  A shift whose coefficient vanishes for this a,
+    such as the (Q - P)**2 term of l = 2 at a = 1, is dropped once per
+    call.  Two guards against a wrong table raise ``ArithmeticError``
+    naming l, a and the index r: a nonzero remainder, and a first stepped
+    value D_J that differs from its direct sum of J + 1 terms.  The second
+    catches wrong entries that keep every quotient integral, which the
+    small leading coefficients of l = 1 and l = 2 allow.  For l >= 4 every
+    D_r is summed directly, r + 1 terms each, so the row costs
+    Theta(r_max**2) big-integer terms.
     """
-    p, q = a.numerator, a.denominator
-    out = [1] * (r_max + 1)
-    if l == 1:
-        for r in range(1, r_max + 1):
-            out[r] = out[r - 1] * (p + q)
-    elif l == 2 and p == q == 1:
-        for r in range(r_max):
-            out[r + 1] = out[r] * (2 * (2 * r + 1)) // (r + 1)
+    entry = _ROW_RECURRENCES.get(l)
+    if entry is None:
+        return [_direct_row_sum(l, a, r) for r in range(r_max + 1)]
+    lead, shifts = entry
+    order = len(shifts)
+    n = max(r_max + 1 - order, 0)  # steps; the recurrence gives D_{r+J} at step r
+    big_p, big_q = a.numerator**l, a.denominator**l
+    columns = []  # (j, coefficient of D_{r+j} at steps r = 0, 1, ...)
+    for j, terms in enumerate(shifts):
+        coeffs = [0] * max(len(u) for u, _ in terms)
+        for u, form in terms:
+            d = len(form) - 1
+            f = sum(c * big_p**i * big_q ** (d - i) for i, c in enumerate(form))
+            for i, c in enumerate(u):
+                coeffs[i] += f * c
+        if any(coeffs):
+            columns.append((j, _poly_values(coeffs)))
+    out = [_direct_row_sum(l, a, r) for r in range(min(order, r_max + 1))]
+    leads = islice(_poly_values(lead), n)
+    if [j for j, _ in columns] == [order - 1]:
+        # Only D_{r+J-1} has a nonzero coefficient (l = 1, and l = 2 at
+        # a = 1), so each step scales the last row.  On these rows the
+        # general loop below is about 1.3x slower than this one, which
+        # stays within about 15 % of the closed forms (p + q)**r and
+        # C(2r, r) it replaces.
+        for den, c in zip(leads, columns[0][1]):
+            row, remainder = divmod(c * out[-1], den)
+            if remainder:
+                raise _inexact_step(l, a, len(out))
+            out.append(row)
     else:
-        for r in range(1, r_max + 1):
-            out[r] = deque(binomial_power_sums(r, l, a, r), maxlen=1).pop()
+        (j0, first), *rest = [(j, list(islice(values, n))) for j, values in columns]
+        for r, den in enumerate(leads):
+            rhs = first[r] * out[r + j0]
+            for j, column in rest:
+                rhs += column[r] * out[r + j]
+            row, remainder = divmod(rhs, den)
+            if remainder:
+                raise _inexact_step(l, a, len(out))
+            out.append(row)
+    if n and out[order] != _direct_row_sum(l, a, order):
+        raise ArithmeticError(
+            f"row-sum recurrence for l={l}, a={a} disagrees with the direct sum at r={order}"
+        )
     return out
 
 
@@ -250,8 +396,8 @@ def sequence_entry(params: SeqParams, r: int) -> Fraction:
 def full_sequence(params: SeqParams) -> ExactSequence:
     """All entries s(0..m) as an ExactSequence.
 
-    Numerators are built with one new term per index; denominators use the
-    closed forms in ``scaled_row_sums`` when available.
+    Numerators are built with one new term per index; denominators come
+    from ``scaled_row_sums``, by recurrence for l <= 3.
     """
     nums = scaled_prefix_sums(params.m, params.l, params.a)
     dens = scaled_row_sums(params.l, params.a, params.m)

@@ -13,8 +13,11 @@ from powsumseq import (
     TheoryViolation,
     central_ratio,
     conjectured_ratio,
+    exact_core,
     log_of_rational,
+    peak_window,
     sandwich_bounds,
+    sequence_entry,
 )
 
 positive_rationals = st.fractions(
@@ -177,6 +180,35 @@ class TestConjecturedRatio:
             far = conjectured_ratio(SeqParams(200, l, a)).ratio
             assert 0 < near < 2 and 0 < far < 2
             assert abs(far - 1) < abs(near - 1)
+
+    def test_scale_m_2000_at_l3_uses_the_recurrence(self, monkeypatch):
+        # Only the recurrence's seeds D_0..D_2 and its check row D_3 may be
+        # summed directly; the Theta(m^2) route would sum every D_r.
+        direct_r = []
+        in_rows = []
+        sums = exact_core.binomial_power_sums
+        rows = exact_core.scaled_row_sums
+
+        def counting_sums(n, l, a, r_max):
+            if in_rows:
+                direct_r.append(r_max)
+            return sums(n, l, a, r_max)
+
+        def flagged_rows(*args):
+            in_rows.append(True)
+            try:
+                return rows(*args)
+            finally:
+                in_rows.pop()
+
+        monkeypatch.setattr(exact_core, "binomial_power_sums", counting_sums)
+        monkeypatch.setattr(exact_core, "scaled_row_sums", flagged_rows)
+        params = SeqParams(2000, 3, Fraction(2, 3))
+        result = conjectured_ratio(params)
+        assert direct_r and max(direct_r) <= 3
+        best = max(sequence_entry(params, r) for r in peak_window(2000, params.a))
+        expected = log_of_rational(best)
+        assert abs(result.log_value - expected.value) <= result.log_error + expected.error
 
     def test_validation(self):
         with pytest.raises(ValueError):

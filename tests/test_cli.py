@@ -7,11 +7,14 @@ import pytest
 
 from powsumseq import (
     SeqParams,
+    asymptotics,
+    central_ratio,
     cli,
     conjecture_report,
     dump_polynomials,
     load_json,
     poly_certificates,
+    sandwich_bounds,
 )
 from powsumseq.cli import build_parser, main
 
@@ -184,6 +187,20 @@ class TestAsympt:
         assert [entry["m"] for entry in payload] == [6, 10]
         assert payload[0]["sandwich"]["lower"] == "200/7"
         assert set(payload[0]) == {"m", "sandwich", "central", "conjectured"}
+
+    def test_central_peak_summed_once_per_m(self, capsys, monkeypatch):
+        expected = [
+            {"sandwich": sandwich_bounds(m).to_json_dict(), "central": central_ratio(m).to_json_dict()}
+            for m in (6, 10)
+        ]
+        calls = []
+        peak = asymptotics._central_peak
+        monkeypatch.setattr(asymptotics, "_central_peak", lambda m: calls.append(m) or peak(m))
+        code, out, _ = run_cli(capsys, "asympt", "--m-list", "6,10", "--json")
+        assert code == 0
+        assert calls == [6, 10]
+        payload = json.loads(out)
+        assert [{k: e[k] for k in ("sandwich", "central")} for e in payload] == expected
 
     def test_noncentral_case_has_no_sandwich(self, capsys):
         code, out, _ = run_cli(
