@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -48,14 +47,6 @@ def _int_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
-
-
-def _default_threads() -> int:
-    env = os.environ.get("POWSUMSEQ_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--out", metavar="PATH", help="write the report to PATH")
     p_tab.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="file format for --out (default csv)")
-    p_tab.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker processes (default $POWSUMSEQ_THREADS or 1)")
+    p_tab.add_argument("--threads", type=int, default=1,
+                       help="worker processes (default 1)")
     p_tab.add_argument("--shard-dir", metavar="DIR",
                        help="journal finished cells here and resume from them")
     p_tab.add_argument("--progress", action="store_true",

@@ -27,7 +27,7 @@ constructs every polynomial through *both* routes — polynomial algebra and
 the scalar recurrences — and insists they agree coefficient by coefficient;
 disagreement raises :class:`CertificateError`.
 
-The verification entry points then check, in exact integer arithmetic:
+The verification entry points then check:
 
 * closed forms for the edge coefficients of both tables
   (``verify_closed_forms``),
@@ -50,6 +50,59 @@ The verification entry points then check, in exact integer arithmetic:
 * the falling side: the goal itself together with its descent variants for
   m = 3q-1 and m = 3q-2, which share r_m = q
   (``verify_right_peak_inequality``).
+
+Every verdict is exact.  The table checks and the sign certificate are
+integer arithmetic throughout.  The other three families decide most
+comparisons without forming the big products:
+
+* Chain links by sign.  With f = 3q+1 > 0 and Y_k(q) > 0 (checked), the
+  link f*s*y > x*c has sign(lhs) = sign(s) and sign(rhs) = sign(x)*sign(c).
+  Where the two signs differ they decide the link; X_k(q) <= 0 on most
+  links, so only links with equal signs are cross-multiplied.
+* Peak inequalities by a certified float walk.  Both compare
+  T_j = S(j-1) / C(m,j)^2 with a small rational: the left check is
+  (3r-2) T_j < r and the right check is (3q+1) T_{q+1} > q+1.  From
+  C(m,j+1) / C(m,j) = (m-j)/(j+1),
+
+      T_0 = 0,   T_{j+1} = (T_j + 1) * ((j+1) / (m-j))^2,
+
+  ``_ratio_walk`` steps this recurrence in floats; every term is positive
+  and, at the indices the checks ask for, of moderate size (see below).
+
+Error bound of the walk, with u = 2**-53, every rounding to nearest and
+every operand positive.  One step rounds four times: the correctly rounded
+int / int quotient, its square, the add and the multiply.  The quotient
+enters squared, so its rounding counts twice.  Adding the exact 1 to a
+positive t cannot raise the relative error that t carries, since
+|t - T| / (T + 1) <= |t - T| / T.  So each step multiplies the relative
+error factor by at most (1 + u)**5 and at least (1 - u)**5, and T_0 = 0 is
+exact, which gives
+
+    |t_j - T_j| <= g T_j,   g = gamma_{5j} = 5ju / (1 - 5ju)
+
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, Lemma 3.1).
+As T_j <= t_j / (1 - g), |t_j - T_j| <= 5ju / (1 - 10ju) t_j, which is below
+5.3 ju t_j for j < 2**45.  The walk reports
+
+    err_j = fl(j * 2**-50 * t_j) >= 7.99 ju t_j,
+
+half again the bound, so that err_j also covers the last rounding below.
+No step overflows or underflows: each caller stops at a j_max with
+m <= 3 j_max + 2, so T_j >= T_1 = 1/m^2, and C(m,i) <= C(m,j) for
+i < j <= (m+1)/2 keeps T_j below j at every index it asks for except a
+few with m <= 4.
+
+A caller compares c*T_j with an integer n, where c = 3r-2 or 3q+1 and n
+are integers below 2**53 and hence exact floats.  The computed
+d = fl(fl(c t_j) - n) differs from c T_j - n by at most u c t_j + c |t_j - T_j|,
+which is below 0.8 c err_j, before the subtraction's own relative rounding.
+The sign of c T_j - n is taken from d only when |d| > 2 c err_j, twice the
+error bound; every other index, which includes every exact tie, goes to the
+exact products.  Those read S(j-1) and C(m,j)^2 from one lazily advanced
+``binomial_power_sums(m, 2, 1, .)`` stream per m, so an index the walk leaves
+undecided costs what the all-exact route costs, and the stream is also the
+test oracle.  The right family's m = 1 instance (q = 1, C(1, 2) = 0) always
+goes exact.
 """
 
 from __future__ import annotations
@@ -80,6 +133,9 @@ __all__ = [
     "run_battery",
     "dump_polynomials",
 ]
+
+# 2**-50 = 8u: the per-step factor of err_j in _ratio_walk (module docstring).
+_ERR_UNIT = math.ldexp(1.0, -50)
 
 
 class CertificateError(Exception):
@@ -365,6 +421,15 @@ def verify_sign_certificate(q_max: int) -> Verdict:
     return Verdict("sign-certificate", True, checked, None)
 
 
+def _link_holds(factor: int, s: int, y: int, x: int, c: int) -> bool:
+    """factor*s*y > x*c for factor > 0 and y > 0, from the signs where they differ."""
+    lhs_sign = (s > 0) - (s < 0)
+    rhs_sign = ((x > 0) - (x < 0)) * ((c > 0) - (c < 0))
+    if lhs_sign != rhs_sign:
+        return lhs_sign > rhs_sign
+    return factor * s * y > x * c
+
+
 def verify_equivalence_chain(q: int) -> Verdict:
     """All links of the chain share one truth value; k=0 equals the goal.
 
@@ -372,7 +437,8 @@ def verify_equivalence_chain(q: int) -> Verdict:
     (3q+1) * S(q-k) * Y_k(q) > X_k(q) * C(3q, q+1-k)^2 with S(-1) = 0.
     Y_k(q) > 0 throughout, so each link is the cross-multiplied form of the
     division-shaped statement with X_k/Y_k on the right.  C(3q, j)^2 is read
-    as S(j) - S(j-1).
+    as S(j) - S(j-1).  A link whose two sides differ in sign is decided by
+    the signs; only links with equal signs form the products.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -385,8 +451,8 @@ def verify_equivalence_chain(q: int) -> Verdict:
             return Verdict(
                 "equivalence-chain", False, k + 1, f"q={q}, k={k}: Y_k(q) = {y} <= 0"
             )
-        s, s_next = sums[q - k + 1], sums[q - k + 2]
-        truths.append(factor * s * y > x * (s_next - s))
+        s = sums[q - k + 1]
+        truths.append(_link_holds(factor, s, y, x, sums[q - k + 2] - s))
 
     checked = len(truths)
     if len(set(truths)) != 1:
@@ -404,19 +470,46 @@ def verify_equivalence_chain(q: int) -> Verdict:
     return Verdict("equivalence-chain", True, checked, None)
 
 
+def _ratio_walk(m: int, j_max: int) -> Iterator[tuple[float, float]]:
+    """Yield (t_j, err_j) with |t_j - S(j-1)/C(m,j)^2| <= err_j for j = 1..j_max.
+
+    S is the prefix sum of C(m, i)^2 and 1 <= j_max <= m.  See the module
+    docstring for the recurrence and the derivation of err_j.
+    """
+    t = 0.0
+    for j in range(j_max):
+        step = (j + 1) / (m - j)
+        t = (t + 1.0) * (step * step)
+        yield t, (j + 1) * _ERR_UNIT * t
+
+
+def _decided_sign(c: int, t: float, err: float, n: int) -> int:
+    """Sign of c*T - n for an exact T with |t - T| <= err, or 0 if undecided."""
+    d = c * t - n
+    bound = 2 * c * err
+    return (d > bound) - (d < -bound)
+
+
 def verify_left_peak_inequality(m: int) -> Verdict:
     """(3r-2) * S(j-1) < r * C(m,j)^2 for 1 <= j <= r = floor((m+2)/3).
 
     This is the exact form of the strict rise of the central sequence up to
-    its peak index r.
+    its peak index r.  The float walk decides each index it can; the rest
+    read the prefix sums.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     r = (m + 2) // 3
     lhs_factor = 3 * r - 2
-    sums = pairwise(binomial_power_sums(m, 2, 1, r))
-    for j, (prefix, acc) in enumerate(sums, start=1):
-        if lhs_factor * prefix >= r * (acc - prefix):  # acc - prefix = C(m,j)^2
+    sums = pairwise(binomial_power_sums(m, 2, 1, r))  # advanced only on demand
+    read = 0
+    for j, (t, err) in enumerate(_ratio_walk(m, r), start=1):
+        sign = _decided_sign(lhs_factor, t, err, r)
+        if sign == 0:
+            prefix, acc = next(islice(sums, j - 1 - read, None))
+            read = j
+            sign = 1 if lhs_factor * prefix >= r * (acc - prefix) else -1  # C(m,j)^2
+        if sign > 0:
             return Verdict(
                 "left-peak-inequality", False, j,
                 f"m={m}, j={j}: {lhs_factor}*S({j - 1}) >= {r}*C({m},{j})^2",
@@ -429,14 +522,21 @@ def verify_right_peak_inequality(q: int) -> Verdict:
 
     All three m share the peak index r_m = q, so these are the exact forms
     of the strict fall just past the peak; the smaller two follow from the
-    m = 3q case by descent, but are checked directly here.  C(m,q+1)^2 is
-    read as S(q+1) - S(q).
+    m = 3q case by descent, but are checked directly here.  The float walk
+    decides each m it can; the rest read C(m,q+1)^2 as S(q+1) - S(q).
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
+    factor = 3 * q + 1
     for checked, m in enumerate((3 * q, 3 * q - 1, 3 * q - 2), start=1):
-        total, upto_next = deque(binomial_power_sums(m, 2, 1, q + 1), maxlen=2)
-        if (3 * q + 1) * total <= (q + 1) * (upto_next - total):  # C(m,q+1)^2
+        sign = 0
+        if m > q:  # C(m, q+1) > 0
+            t, err = deque(_ratio_walk(m, q + 1), maxlen=1).pop()
+            sign = _decided_sign(factor, t, err, q + 1)
+        if sign == 0:
+            total, upto_next = deque(binomial_power_sums(m, 2, 1, q + 1), maxlen=2)
+            sign = 1 if factor * total > (q + 1) * (upto_next - total) else -1
+        if sign < 0:
             return Verdict(
                 "right-peak-inequality", False, checked,
                 f"q={q}, m={m}: (3q+1)*S <= (q+1)*C(m,q+1)^2",

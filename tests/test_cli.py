@@ -272,17 +272,6 @@ class TestTable2:
 
 
 class TestThreadsDefault:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("POWSUMSEQ_THREADS", "3")
-        args = build_parser().parse_args(["table2", "--m-max", "5"])
-        assert args.threads == 3
-
-    def test_env_garbage_falls_back_to_1(self, monkeypatch):
-        monkeypatch.setenv("POWSUMSEQ_THREADS", "lots")
-        args = build_parser().parse_args(["table2", "--m-max", "5"])
-        assert args.threads == 1
-
-    def test_unset_defaults_to_1(self, monkeypatch):
-        monkeypatch.delenv("POWSUMSEQ_THREADS", raising=False)
+    def test_defaults_to_1(self):
         args = build_parser().parse_args(["table2", "--m-max", "5"])
         assert args.threads == 1

@@ -60,6 +60,42 @@ def _perturb(monkeypatch, n, j, change):
     monkeypatch.setattr(poly_certificates, "binomial_power_sums", perturbed)
 
 
+def _force_exact(monkeypatch):
+    """Leave every peak-inequality index undecided by the float walk, so each
+    one reads the prefix sums, and decide every chain link by products."""
+    walk = poly_certificates._ratio_walk
+    monkeypatch.setattr(
+        poly_certificates, "_ratio_walk",
+        lambda m, j_max: ((t, math.inf) for t, _ in walk(m, j_max)),
+    )
+    monkeypatch.setattr(
+        poly_certificates, "_link_holds",
+        lambda factor, s, y, x, c: factor * s * y > x * c,
+    )
+
+
+def _count_terms(monkeypatch):
+    """Count the terms that poly_certificates.binomial_power_sums yields."""
+    original = poly_certificates.binomial_power_sums
+    yielded = []
+
+    def counted(*args):
+        for s in original(*args):
+            yielded.append(s)
+            yield s
+
+    monkeypatch.setattr(poly_certificates, "binomial_power_sums", counted)
+    return yielded
+
+
+def _squared_prefix_sums(m, j_max):
+    """[S(-1), S(0), ..., S(j_max)] for S(j) = sum_{i<=j} C(m, i)^2."""
+    sums = [0]
+    for i in range(j_max + 1):
+        sums.append(sums[-1] + math.comb(m, i) ** 2)
+    return sums
+
+
 class TestIntPoly:
     def test_trailing_zeros_stripped(self):
         assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
@@ -264,6 +300,26 @@ class TestEquivalenceChain:
         assert verdict.first_failure == "q=4: link k=3 has truth False, k=0 has True"
         assert verify_equivalence_chain(5).passed
 
+    @pytest.mark.parametrize("perturb", [
+        lambda s, c: (s, c),
+        lambda s, c: (s, -c),  # c < 0
+        lambda s, c: (0, c),  # s = 0
+        lambda s, c: (-s, c),
+    ])
+    def test_sign_first_links_match_products(self, perturb):
+        from powsumseq.poly_certificates import _link_holds, _xy_values
+
+        for q in range(1, 81):
+            factor = 3 * q + 1
+            sums = _squared_prefix_sums(3 * q, q + 1)
+            for k, (x, y) in zip(range(q + 2), _xy_values(q)):
+                s, c = perturb(sums[q - k + 1], sums[q - k + 2] - sums[q - k + 1])
+                assert _link_holds(factor, s, y, x, c) == (factor * s * y > x * c), (q, k)
+                for x_alt in (0, -x):
+                    assert _link_holds(factor, s, y, x_alt, c) == (
+                        factor * s * y > x_alt * c
+                    ), (q, k, x_alt)
+
 
 class TestPeakInequalities:
     def test_left_small_m(self):
@@ -298,6 +354,7 @@ class TestPeakInequalities:
 
     def test_left_fails_on_perturbed_sums(self, monkeypatch):
         # m = 10, r = 4: S(2) = 56 -> 5600 breaks the rise at j = 3.
+        _force_exact(monkeypatch)
         _perturb(monkeypatch, 10, 2, lambda s: 100 * s)
         verdict = verify_left_peak_inequality(10)
         assert not verdict.passed
@@ -307,12 +364,64 @@ class TestPeakInequalities:
 
     def test_right_fails_on_perturbed_sums(self, monkeypatch):
         # q = 4 checks m = 12, 11, 10; zero the m = 11 sum up to i = q.
+        _force_exact(monkeypatch)
         _perturb(monkeypatch, 11, 4, lambda s: 0)
         verdict = verify_right_peak_inequality(4)
         assert not verdict.passed
         assert verdict.checked == 2
         assert verdict.first_failure == "q=4, m=11: (3q+1)*S <= (q+1)*C(m,q+1)^2"
         assert verify_right_peak_inequality(5).passed
+
+    @pytest.mark.parametrize("ms", [range(2, 401), (1000, 1001, 2000)])
+    def test_ratio_walk_error_bound(self, ms):
+        # Every index the left check asks for, and q + 1 for the right check
+        # (m = 3q-2 has r_m = q), checked exactly against math.comb.
+        from powsumseq.poly_certificates import _ratio_walk
+
+        for m in ms:
+            j_max = (m + 2) // 3 + 1
+            sums = _squared_prefix_sums(m, j_max)
+            for j, (t, err) in enumerate(_ratio_walk(m, j_max), start=1):
+                exact = Fraction(sums[j], math.comb(m, j) ** 2)  # S(j-1) / C(m,j)^2
+                assert abs(Fraction(t) - exact) <= Fraction(err), (m, j)
+                assert 0 < err < 2**-35 * t, (m, j)
+
+    def test_ties_stay_undecided(self):
+        # 3 * T = 1 exactly for T = 1/3; a t within err of T must not decide.
+        from powsumseq.poly_certificates import _decided_sign
+
+        third = 1 / 3
+        for t in (math.nextafter(third, 0), third, math.nextafter(third, 1)):
+            assert _decided_sign(3, t, 2**-50 * t, 1) == 0
+        assert _decided_sign(3, 0.5, 2**-50, 1) == 1
+        assert _decided_sign(3, 0.25, 2**-50, 1) == -1
+
+    def test_filter_decides_without_prefix_sums(self, monkeypatch):
+        yielded = _count_terms(monkeypatch)
+        for m in (200, 1000, 2000):
+            assert verify_left_peak_inequality(m) == Verdict(
+                "left-peak-inequality", True, (m + 2) // 3, None
+            )
+        assert verify_right_peak_inequality(500) == Verdict(
+            "right-peak-inequality", True, 3, None
+        )
+        assert yielded == []
+
+    def test_right_m1_goes_exact(self, monkeypatch):
+        # q = 1 checks m = 3, 2, 1; C(1, 2) = 0, so m = 1 reads S(0), S(1), S(2).
+        yielded = _count_terms(monkeypatch)
+        assert verify_right_peak_inequality(1).passed
+        assert yielded == [1, 2, 2]
+
+    def test_forced_exact_matches_filter(self, monkeypatch):
+        filtered = [verify_left_peak_inequality(m) for m in range(2, 200)]
+        filtered += [verify_right_peak_inequality(q) for q in range(1, 70)]
+        _force_exact(monkeypatch)
+        yielded = _count_terms(monkeypatch)
+        exact = [verify_left_peak_inequality(m) for m in range(2, 200)]
+        exact += [verify_right_peak_inequality(q) for q in range(1, 70)]
+        assert exact == filtered
+        assert len(yielded) > 0
 
 
 class TestRunAll:
@@ -345,6 +454,7 @@ class TestRunAll:
     def test_families_stop_at_their_first_failure(self, monkeypatch):
         # Zeroing S(2) for m = 12 breaks the chain at q = 4 and the rise at
         # m = 12; checked counts sum every instance up to the failing one.
+        _force_exact(monkeypatch)
         _perturb(monkeypatch, 12, 2, lambda s: 0)
         report = run_all(n_max=3, sign_q_max=3, chain_q_max=6, goal_q_max=6, left_m_max=14)
         chain, right, left = report.verdicts[-3:]
@@ -358,6 +468,41 @@ class TestRunAll:
             "m=12, j=2: 10*S(1) >= 4*C(12,2)^2",
         )
         assert not report.passed
+
+
+class TestGoldenBattery:
+    # run_all() at its defaults, copied from the all-products implementation.
+    GOLDEN = [
+        ("construction-routes-agree", True, 81003, None),
+        ("b[n,2n-1]", True, 200, None),
+        ("b[n,2n-2]", True, 200, None),
+        ("b[n,2n-3]", True, 199, None),
+        ("b[n,2]", True, 199, None),
+        ("b[n,1]", True, 199, None),
+        ("b[n,0]", True, 199, None),
+        ("a[n,2n]", True, 200, None),
+        ("a[n,2n-1]", True, 200, None),
+        ("a[n,1]", True, 200, None),
+        ("a[n,0]", True, 200, None),
+        ("coefficient-domination", True, 40397, None),
+        ("sign-certificate", True, 200, None),
+        ("equivalence-chain", True, 126250, None),
+        ("right-peak-inequality", True, 1500, None),
+        ("left-peak-inequality", True, 667666, None),
+    ]
+
+    def test_defaults_match_golden(self):
+        report = run_all()
+        assert [
+            (v.name, v.passed, v.checked, v.first_failure) for v in report.verdicts
+        ] == self.GOLDEN
+
+    def test_forced_exact_battery_is_identical(self, monkeypatch):
+        bounds = dict(n_max=20, sign_q_max=20, chain_q_max=100, goal_q_max=100,
+                      left_m_max=300)
+        filtered = run_all(**bounds)
+        _force_exact(monkeypatch)
+        assert run_all(**bounds) == filtered
 
 
 class TestDump:
