@@ -21,7 +21,10 @@ denominator ``q**(r*l)``, so the entry is a ratio of the scaled integers
 
 and ``s(r) = N_r / D_r`` exactly.  The numerators satisfy the one-term
 extension ``N_r = N_{r-1} * q**l + C(m, r)**l * p**(r*l)``, so a full row
-costs one new term per step.  The denominators do not depend on ``m`` at
+costs one new term per step.  That term comes by one of two rules, chosen
+by m: below m = 400 the step powers w_r = C(m, r) * p**r, and from m = 400
+on it multiplies the last term by its exact term ratio ((m-r+1) p / r)**l
+(see ``binomial_power_sums``).  The denominators do not depend on ``m`` at
 all, which lets parameter sweeps compute them once per ``(l, a)`` and reuse
 them across every ``m``.  Property checkers compare entries through the
 integer pairs ``(N_r, D_r)``: a float filter on their mantissas, and
@@ -192,28 +195,59 @@ def weighted_power_sum(m: int, l: int, a: Fraction | int | str, r: int) -> Fract
     return Fraction(total, q ** (r * l))
 
 
+# Smallest n whose terms ``binomial_power_sums`` steps by their term ratio.
+# Best-of-N timings of the whole generator, ratio step against powering w
+# (2-core x86-64, Python 3.11.7): 0.60-1.12x at n = 100 (slower at high l,
+# where dividing by a multi-digit i**l costs more than powering a short w),
+# 0.92-2.2x at n = 400 and 2.1-6.3x at n = 2000.
+_RATIO_STEP_MIN_N = 400
+
+
 def binomial_power_sums(n: int, l: int, a: Fraction | int, r_max: int) -> Iterator[int]:
     """Yield sum_{i<=r} C(n, i)**l * p**(i*l) * q**((r-i)*l) for r = 0..r_max.
 
     ``a = p/q`` in lowest terms.  These are the scaled prefix sums of the
     module docstring, one new term per step; with a = 1 they are the plain
     sums of C(n, i)**l.  A generator, so callers that need only the last sum
-    hold one big integer at a time.  With a = 1 the loop skips the
+    hold one big integer at a time.  With a = 1 the loops skip the
     multiplications by p and q**l.
+
+    Each new term t_i = (C(n, i) * p**i)**l comes by one of two rules,
+    chosen by n.  For n < ``_RATIO_STEP_MIN_N`` the loop steps
+    w_i = C(n, i) * p**i and powers it, t_i = w_i**l.  From there on it
+    steps t_i itself by its term ratio ((n-i+1) p / i)**l, one product and
+    one division by the small integer i**l, which saves the big-integer
+    power of a long w.  The division is exact:
+    t_{i-1} * ((n-i+1) p)**l = (C(n, i-1) (n-i+1) p**i)**l
+    = (C(n, i) * i * p**i)**l = t_i * i**l.
     """
     p, q = a.numerator, a.denominator
-    w = acc = 1  # w = C(n, i) * p**i; each division by i below is exact
+    acc = 1
     yield acc
-    if p == q == 1:
+    ql = q**l
+    if n < _RATIO_STEP_MIN_N:
+        w = 1  # w = C(n, i) * p**i; each division by i below is exact
+        if p == q == 1:
+            for i in range(1, r_max + 1):
+                w = w * (n - i + 1) // i
+                acc += w**l
+                yield acc
+            return
         for i in range(1, r_max + 1):
-            w = w * (n - i + 1) // i
-            acc += w**l
+            w = w * ((n - i + 1) * p) // i
+            acc = acc * ql + w**l
             yield acc
         return
-    ql = q**l
+    t = 1  # t = (C(n, i) * p**i)**l; each division by i**l below is exact
+    if p == q == 1:
+        for i in range(1, r_max + 1):
+            t = t * (n - i + 1) ** l // i**l
+            acc += t
+            yield acc
+        return
     for i in range(1, r_max + 1):
-        w = w * ((n - i + 1) * p) // i
-        acc = acc * ql + w**l
+        t = t * ((n - i + 1) * p) ** l // i**l
+        acc = acc * ql + t
         yield acc
 
 

@@ -144,6 +144,17 @@ class TestCentralRatio:
         assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
         assert gaps[3] < 0.01
 
+    @pytest.mark.parametrize("m", [400, 1000, 5000])
+    def test_central_peak_matches_comb(self, m):
+        from powsumseq.asymptotics import _central_peak
+
+        r = (m + 2) // 3
+        assert _central_peak(m) == (
+            r,
+            sum(math.comb(m, i) ** 2 for i in range(r + 1)),
+            math.comb(2 * r, r),
+        )
+
     def test_documented_scale_m_100000(self):
         # The log-space pipeline stays finite far beyond float overflow of
         # the peak itself; this is the documented large-scale spot check.

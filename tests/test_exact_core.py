@@ -170,6 +170,41 @@ class TestBinomialPowerSums:
         ]
         assert list(binomial_power_sums(n, l, a, r_max)) == expected
 
+    @pytest.mark.parametrize("n", [399, 400, 401, 1000])
+    def test_both_term_rules_match_one_term_extension(self, n):
+        # n = 399 takes the w**l rule and n >= 400 the term-ratio rule; the
+        # oracle is the one-term extension with math.comb, O(r) per row.
+        for l in (1, 2, 3, 5, 20):
+            for a in (Fraction(1), Fraction(3), Fraction(4, 7), Fraction(7, 4)):
+                p, q = a.numerator, a.denominator
+                expected = [1]
+                for r in range(1, n + 1):
+                    expected.append(
+                        expected[-1] * q**l + math.comb(n, r) ** l * p ** (r * l)
+                    )
+                for r_max in (0, 1, n // 3, n):
+                    got = list(binomial_power_sums(n, l, a, r_max))
+                    assert got == expected[: r_max + 1], (n, l, a, r_max)
+
+    @pytest.mark.parametrize("n, ratio_rule", [(399, False), (400, True), (1000, True)])
+    def test_term_rule_follows_the_crossover(self, n, ratio_rule):
+        bases = []
+
+        class RecordingExponent(int):
+            """An exponent l that records the bit length of each base raised to it."""
+
+            def __rpow__(self, base, mod=None):
+                bases.append(base.bit_length())
+                return pow(base, int(self), mod)
+
+        for a in (Fraction(1), Fraction(4, 7)):
+            bases.clear()
+            expected = list(binomial_power_sums(n, 2, a, n // 2))
+            assert list(binomial_power_sums(n, RecordingExponent(2), a, n // 2)) == expected
+            # The ratio rule powers only (n - i + 1) * p, i and q; the w**l
+            # rule powers w = C(n, i) * p**i, hundreds of bits long here.
+            assert (max(bases) <= 16) == ratio_rule, (n, a)
+
     def test_streams_without_building_the_whole_row(self):
         n = 10**9
         sums = binomial_power_sums(n, 2, Fraction(1), n)
