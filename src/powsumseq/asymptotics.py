@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact_core import SeqParams, binomial_power_sums, full_sequence
-from .property_checks import peak_indices
+from .property_checks import scan
 
 __all__ = [
     "LogValue",
@@ -230,7 +230,7 @@ def conjectured_ratio(params: SeqParams) -> RatioResult:
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     seq = full_sequence(params)
-    peak = peak_indices(seq).indices[0]
+    peak = scan(seq).peaks.indices[0]
     log_peak = _log_ratio(seq.numerators[peak], seq.denominators[peak])
 
     one_plus_a = 1 + a

@@ -24,12 +24,13 @@ extension ``N_r = N_{r-1} * q**l + C(m, r)**l * p**(r*l)``, so a full row
 costs one new term per step.  That term comes by one of two rules, chosen
 by m: below m = 400 the step powers w_r = C(m, r) * p**r, and from m = 400
 on it multiplies the last term by its exact term ratio ((m-r+1) p / r)**l
-(see ``binomial_power_sums``).  The denominators do not depend on ``m`` at
-all, which lets parameter sweeps compute them once per ``(l, a)`` and reuse
-them across every ``m``.  Property checkers compare entries through the
-integer pairs ``(N_r, D_r)``: a float filter on their mantissas, and
-cross-multiplication where the filter cannot decide; reduced ``Fraction``
-entries are materialised only on demand.
+(see ``binomial_power_sums``); for integer a the factor q**l is 1 and the
+step skips it.  The denominators do not depend on ``m`` at all, which lets
+parameter sweeps compute them once per ``(l, a)`` and reuse them across
+every ``m``.  Property checkers compare entries through the integer pairs
+``(N_r, D_r)``: a float filter on their mantissas, and cross-multiplication
+where the filter cannot decide; reduced ``Fraction`` entries are
+materialised only on demand.
 
 Row sums by certified recurrences.  Summed term by term, D_0..D_n cost
 Theta(n**2) big-integer terms.  For l <= 3, ``scaled_row_sums`` instead
@@ -80,7 +81,6 @@ recurrences.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -91,7 +91,6 @@ from itertools import accumulate, islice, repeat
 __all__ = [
     "SeqParams",
     "ExactSequence",
-    "binomial",
     "parse_rational",
     "weighted_power_sum",
     "binomial_power_sums",
@@ -101,19 +100,6 @@ __all__ = [
     "full_sequence",
     "central_binomial_sequence",
 ]
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), with C(n, k) = 0 for k < 0 or k > n.
-
-    Requires n >= 0.  Thin wrapper over ``math.comb`` that keeps the
-    out-of-range convention used throughout the sums here.
-    """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
@@ -171,16 +157,11 @@ class SeqParams:
 def weighted_power_sum(m: int, l: int, a: Fraction | int | str, r: int) -> Fraction:
     """P(m, r) = sum_{i=0}^{r} (C(m, i) * a**i) ** l, exactly.
 
-    Requires 0 <= r <= m.  Built incrementally, one new term per index, over
-    the denominator-cleared integers described in the module docstring.
+    m, l and a are checked as ``SeqParams`` checks them, and 0 <= r <= m is
+    required.  Built incrementally, one new term per index, over the
+    denominator-cleared integers described in the module docstring.
     """
-    a = parse_rational(a)
-    if a <= 0:
-        raise ValueError(f"a must be > 0, got {a}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+    a = SeqParams(m, l, a).a
     if r < 0 or r > m:
         raise ValueError(f"r must satisfy 0 <= r <= m={m}, got {r}")
     p, q = a.numerator, a.denominator
@@ -209,8 +190,8 @@ def binomial_power_sums(n: int, l: int, a: Fraction | int, r_max: int) -> Iterat
     ``a = p/q`` in lowest terms.  These are the scaled prefix sums of the
     module docstring, one new term per step; with a = 1 they are the plain
     sums of C(n, i)**l.  A generator, so callers that need only the last sum
-    hold one big integer at a time.  With a = 1 the loops skip the
-    multiplications by p and q**l.
+    hold one big integer at a time.  When q = 1, that is for every integer
+    weight a, each step skips the multiplication by q**l.
 
     Each new term t_i = (C(n, i) * p**i)**l comes by one of two rules,
     chosen by n.  For n < ``_RATIO_STEP_MIN_N`` the loop steps
@@ -227,27 +208,19 @@ def binomial_power_sums(n: int, l: int, a: Fraction | int, r_max: int) -> Iterat
     ql = q**l
     if n < _RATIO_STEP_MIN_N:
         w = 1  # w = C(n, i) * p**i; each division by i below is exact
-        if p == q == 1:
-            for i in range(1, r_max + 1):
-                w = w * (n - i + 1) // i
-                acc += w**l
-                yield acc
-            return
         for i in range(1, r_max + 1):
             w = w * ((n - i + 1) * p) // i
-            acc = acc * ql + w**l
+            if q != 1:
+                acc *= ql
+            acc += w**l
             yield acc
         return
     t = 1  # t = (C(n, i) * p**i)**l; each division by i**l below is exact
-    if p == q == 1:
-        for i in range(1, r_max + 1):
-            t = t * (n - i + 1) ** l // i**l
-            acc += t
-            yield acc
-        return
     for i in range(1, r_max + 1):
         t = t * ((n - i + 1) * p) ** l // i**l
-        acc = acc * ql + t
+        if q != 1:
+            acc *= ql
+        acc += t
         yield acc
 
 

@@ -19,9 +19,9 @@ No entry is divided out or reduced to lowest terms.
   to break the exact-center formula; checks report those separately rather
   than flagging them as failures.
 
-Every check accepts either an :class:`~powsumseq.exact_core.ExactSequence`
-(whose pre-scaled integer pairs are used as-is) or any iterable of positive
-rationals (Fractions or ints).
+``scan`` makes the first three checks in one pass.  It accepts either an
+:class:`~powsumseq.exact_core.ExactSequence` (whose pre-scaled integer pairs
+are used as-is) or any iterable of positive rationals (Fractions or ints).
 
 Exact comparisons.  Adjacent entries z_r = N_r / D_r compare through the
 products P_r = N_{r+1} * D_r and Q_r = N_r * D_{r+1}: the sign of
@@ -76,7 +76,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_core import ExactSequence, SeqParams, full_sequence
+from .exact_core import ExactSequence, SeqParams, full_sequence, parse_rational
 
 __all__ = [
     "Unimodality",
@@ -85,9 +85,6 @@ __all__ = [
     "SequenceScan",
     "PropertyReport",
     "scan",
-    "check_unimodal",
-    "check_log_concave",
-    "peak_indices",
     "conjectured_center",
     "peak_window",
     "known_l1_exception",
@@ -202,13 +199,6 @@ def _log_ratios(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[float], 
 
 def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
     n = len(nums)
-    if n == 1:
-        return SequenceScan(
-            Unimodality(True, (0, 0)),
-            LogConcavity(True, None, True),
-            Peaks((0,), True),
-        )
-
     lams, epss = _log_ratios(nums, dens)
     exact = 0
     # (P_r, Q_r) compares z_{r+1} with z_r; formed only where the filter
@@ -303,30 +293,16 @@ def scan(seq) -> SequenceScan:
     return _scan_pairs(nums, dens)
 
 
-def check_unimodal(seq) -> Unimodality:
-    """Weak unimodality (rise then fall, ties allowed) with plateau bounds."""
-    return scan(seq).unimodality
-
-
-def check_log_concave(seq) -> LogConcavity:
-    """Log-concavity z_i^2 >= z_{i-1} z_{i+1} with first violation index."""
-    return scan(seq).log_concavity
-
-
-def peak_indices(seq) -> Peaks:
-    """All indices attaining the maximum, plus whether the max is unique."""
-    return scan(seq).peaks
-
-
 def conjectured_center(m: int, a: Fraction | int | str) -> int:
     """floor((a*m + a + 2) / (2*a + 1)), evaluated exactly.
 
     With a = p/q this is floor((p*(m+1) + 2*q) / (2*p + q)), a single integer
-    floor division.
+    floor division.  ``a`` is read by ``parse_rational``, so a float raises
+    ``TypeError``.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    a = Fraction(a) if not isinstance(a, Fraction) else a
+    a = parse_rational(a)
     if a <= 0:
         raise ValueError(f"a must be > 0, got {a}")
     p, q = a.numerator, a.denominator

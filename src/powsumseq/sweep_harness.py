@@ -49,7 +49,7 @@ from .exact_core import (
     scaled_prefix_sums,
     scaled_row_sums,
 )
-from .property_checks import PropertyReport, check_log_concave, scan
+from .property_checks import PropertyReport, scan
 
 __all__ = [
     "SweepGrid",
@@ -440,7 +440,7 @@ def check_l_threshold(a: int, m: int, l_max: int) -> ThresholdResult:
     failing = [
         l
         for l in range(1, l_max + 1)
-        if not check_log_concave(full_sequence(SeqParams(m, l, Fraction(a)))).log_concave
+        if not scan(full_sequence(SeqParams(m, l, Fraction(a)))).log_concavity.log_concave
     ]
     return ThresholdResult.from_failing(a, m, l_max, failing)
 

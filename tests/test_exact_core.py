@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from powsumseq import (
     ExactSequence,
     SeqParams,
-    binomial,
     binomial_power_sums,
     central_binomial_sequence,
     full_sequence,
@@ -36,26 +35,6 @@ def oracle_entry(m: int, l: int, a: Fraction, r: int) -> Fraction:
 small_rationals = st.fractions(
     min_value=Fraction(1, 12), max_value=Fraction(12), max_denominator=12
 )
-
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(5, 2) == 10
-        assert binomial(6, 3) == 20
-        assert binomial(0, 0) == 1
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(4, 7) == 0
-        assert binomial(4, -1) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    @given(st.integers(0, 40), st.integers(-2, 42))
-    def test_matches_math_comb(self, n, k):
-        expected = math.comb(n, k) if 0 <= k <= n else 0
-        assert binomial(n, k) == expected
 
 
 class TestParseRational:

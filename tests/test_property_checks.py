@@ -19,13 +19,10 @@ from powsumseq import (
     SequenceScan,
     Unimodality,
     central_binomial_sequence,
-    check_log_concave,
-    check_unimodal,
     conjecture_report,
     conjectured_center,
     full_sequence,
     known_l1_exception,
-    peak_indices,
     peak_window,
     scan,
 )
@@ -159,62 +156,70 @@ def random_log_concave(rng: random.Random, length: int) -> list[Fraction]:
 
 class TestUnimodality:
     def test_frozen_examples(self):
-        assert check_unimodal([1, Fraction(5, 2), 1]) == check_unimodal(
-            central_binomial_sequence(2)
+        assert (
+            scan([1, Fraction(5, 2), 1]).unimodality
+            == scan(central_binomial_sequence(2)).unimodality
         )
-        assert check_unimodal([1, Fraction(5, 2), 1]).plateau == (1, 1)
-        assert check_unimodal([1, 1]).plateau == (0, 1)
-        assert not check_unimodal([2, 1, 2]).unimodal
-        assert check_unimodal([2, 1, 2]).plateau is None
+        assert scan([1, Fraction(5, 2), 1]).unimodality.plateau == (1, 1)
+        assert scan([1, 1]).unimodality.plateau == (0, 1)
+        assert not scan([2, 1, 2]).unimodality.unimodal
+        assert scan([2, 1, 2]).unimodality.plateau is None
 
     def test_interior_plateau(self):
-        verdict = check_unimodal([1, 1, 2, 2, 1])
+        verdict = scan([1, 1, 2, 2, 1]).unimodality
         assert verdict.unimodal
         assert verdict.plateau == (2, 3)
 
     def test_singleton(self):
-        assert check_unimodal([Fraction(7, 3)]) == check_unimodal([5])
-        assert check_unimodal([5]).plateau == (0, 0)
+        expected = SequenceScan(
+            Unimodality(True, (0, 0)),
+            LogConcavity(True, None, True),
+            Peaks((0,), True),
+        )
+        for seq in ([5], [Fraction(7, 3)]):
+            result = scan(seq)
+            assert result == expected
+            assert result.exact_fallbacks == 0
 
     def test_monotone_sequences(self):
-        assert check_unimodal([1, 2, 3]).plateau == (2, 2)
-        assert check_unimodal([3, 2, 1]).plateau == (0, 0)
+        assert scan([1, 2, 3]).unimodality.plateau == (2, 2)
+        assert scan([3, 2, 1]).unimodality.plateau == (0, 0)
 
 
 class TestLogConcavity:
     def test_frozen_examples(self):
-        assert check_log_concave([1, 5, Fraction(19, 6), 1]).log_concave
-        verdict = check_log_concave([1, 1, 2])
+        assert scan([1, 5, Fraction(19, 6), 1]).log_concavity.log_concave
+        verdict = scan([1, 1, 2]).log_concavity
         assert not verdict.log_concave
         assert verdict.first_violation == 1
 
     def test_geometric_is_borderline(self):
-        verdict = check_log_concave([1, 2, 4, 8])
+        verdict = scan([1, 2, 4, 8]).log_concavity
         assert verdict.log_concave
         assert not verdict.strict
 
     def test_strict_flag(self):
-        assert check_log_concave([1, 3, 4, 3, 1]).strict
+        assert scan([1, 3, 4, 3, 1]).log_concavity.strict
 
     def test_sequence_input(self):
         seq = full_sequence(SeqParams(5, 6, 1))
-        verdict = check_log_concave(seq)
+        verdict = scan(seq).log_concavity
         assert not verdict.log_concave
         assert verdict.first_violation is not None
 
 
 class TestPeaks:
     def test_frozen_examples(self):
-        assert peak_indices([1, Fraction(5, 2), 1]).indices == (1,)
-        assert peak_indices([1, Fraction(5, 2), 1]).unique
-        assert peak_indices([1, 1]).indices == (0, 1)
-        assert not peak_indices([1, 1]).unique
+        assert scan([1, Fraction(5, 2), 1]).peaks.indices == (1,)
+        assert scan([1, Fraction(5, 2), 1]).peaks.unique
+        assert scan([1, 1]).peaks.indices == (0, 1)
+        assert not scan([1, 1]).peaks.unique
 
     def test_non_unimodal_peaks_found_by_fallback(self):
-        assert peak_indices([2, 1, 2]).indices == (0, 2)
+        assert scan([2, 1, 2]).peaks.indices == (0, 2)
 
     def test_central_m20_peak(self):
-        assert peak_indices(central_binomial_sequence(20)).indices == (7,)
+        assert scan(central_binomial_sequence(20)).peaks.indices == (7,)
 
 
 class TestInputValidation:
@@ -261,6 +266,13 @@ class TestWindow:
             conjectured_center(-1, 1)
         with pytest.raises(ValueError):
             conjectured_center(3, 0)
+
+    def test_float_weight_rejected(self):
+        with pytest.raises(TypeError):
+            conjectured_center(10, 0.1)
+        with pytest.raises(TypeError):
+            peak_window(10, 0.1)
+        assert peak_window(10, "1/10") == peak_window(10, Fraction(1, 10))
 
 
 class TestKnownExceptions:
@@ -387,7 +399,7 @@ class TestAgainstNaiveOracles:
         for x, y in zip(xs, ys):
             acc += x * y
             prefix.append(acc)
-        assert check_log_concave(prefix).log_concave
+        assert scan(prefix).log_concavity.log_concave
 
 
 # ---------------------------------------------------------------------------
