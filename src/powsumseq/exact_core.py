@@ -201,7 +201,12 @@ def binomial_power_sums(n: int, l: int, a: Fraction | int, r_max: int) -> Iterat
     power of a long w.  The division is exact:
     t_{i-1} * ((n-i+1) p)**l = (C(n, i-1) (n-i+1) p**i)**l
     = (C(n, i) * i * p**i)**l = t_i * i**l.
+
+    ``a`` other than an int or a Fraction is read by ``parse_rational``, so
+    a float raises ``TypeError``.
     """
+    if not isinstance(a, (int, Fraction)):
+        a = parse_rational(a)
     p, q = a.numerator, a.denominator
     acc = 1
     yield acc
@@ -305,8 +310,11 @@ def scaled_row_sums(l: int, a: Fraction, r_max: int) -> list[int]:
     catches wrong entries that keep every quotient integral, which the
     small leading coefficients of l = 1 and l = 2 allow.  For l >= 4 every
     D_r is summed directly, r + 1 terms each, so the row costs
-    Theta(r_max**2) big-integer terms.
+    Theta(r_max**2) big-integer terms.  ``a`` is read as
+    ``binomial_power_sums`` reads it, so a float raises ``TypeError``.
     """
+    if not isinstance(a, (int, Fraction)):
+        a = parse_rational(a)
     entry = _ROW_RECURRENCES.get(l)
     if entry is None:
         return [_direct_row_sum(l, a, r) for r in range(r_max + 1)]

@@ -19,7 +19,8 @@ No entry is divided out or reduced to lowest terms.
   to break the exact-center formula; checks report those separately rather
   than flagging them as failures.
 
-``scan`` makes the first three checks in one pass.  It accepts either an
+``scan`` makes the first three checks in one loop over the pairs (see The
+loop, below).  It accepts either an
 :class:`~powsumseq.exact_core.ExactSequence` (whose pre-scaled integer pairs
 are used as-is) or any iterable of positive rationals (Fractions or ints).
 
@@ -65,8 +66,21 @@ its error) plus the rounding u |d| of the subtraction, which is less than
 |d|.  Every other comparison, which includes every exact tie, falls back to
 the exact products, formed lazily and only for the undecided indices, so
 ``strict``, plateaus, ``first_violation`` and the peak set are those of the
-all-products scan.  The peak search of a non-unimodal sequence (the only
-comparisons between non-adjacent entries) is always exact.
+all-products scan.
+
+The loop.  ``scan`` reads the (N_i, D_i) pairs once, in order.  At entry i
+it rejects a nonpositive pair, splits both integers, and for r = i - 1 forms
+lam_r and eps_r and decides the sign of z_{r+1} - z_r, keeping only the last
+index of a rise and the first of a fall.  Until the first log-concavity
+violation it also decides log-concavity at r from lam_{r-1} and lam_r; no
+index after that violation is examined.  What one index hands the next is
+fixed in size: entries i-1 and i-2, lam_{r-1} and eps_{r-1}, and the
+products (P, Q) of r - 1 and r where an undecided comparison formed them.
+The sequence is unimodal iff no rise follows the first fall, and its
+plateau is then [last rise + 1, first fall], or up to the last index when
+nothing falls.  The peak search of a non-unimodal sequence is the one
+second walk: it compares each entry exactly with the current maximum, the
+only comparisons between non-adjacent entries.
 """
 
 from __future__ import annotations
@@ -147,7 +161,7 @@ class SequenceScan:
 
 
 def _integer_pairs(seq) -> tuple[Sequence[int], Sequence[int]]:
-    """Extract positive (numerator, denominator) pairs from any input form."""
+    """The (numerator, denominator) pairs of any input form, nonempty."""
     if isinstance(seq, ExactSequence):
         nums, dens = seq.numerators, seq.denominators
     else:
@@ -162,22 +176,21 @@ def _integer_pairs(seq) -> tuple[Sequence[int], Sequence[int]]:
             dens.append(frac.denominator)
     if not nums:
         raise ValueError("sequence must be nonempty")
-    for n, d in zip(nums, dens):
-        if n <= 0 or d <= 0:
-            raise ValueError("sequence entries must be positive")
     return nums, dens
 
 
-def _log_ratios(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[float], list[float]]:
-    """lam_r ~ log(z_{r+1} / z_r) and its error bound eps_r, for each r.
-
-    See the module docstring for the split x = 2**s * (t + theta) and the
-    derivation of eps_r.
-    """
-    lams = []
-    epss = []
-    f_prev = e_prev = None
-    for num, den in zip(nums, dens):
+def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
+    exact = 0
+    last_rise = first_fall = -1
+    first_violation = None
+    strict = True
+    # This entry is r + 1.  prev_* hold entry r and the lam, eps and products
+    # of r - 1, prev2_* entry r - 1.  A product pair (P, Q) is None until an
+    # undecided comparison needs it.
+    prev_num = prev_den = None
+    for r, (num, den) in enumerate(zip(nums, dens), -1):
+        if num <= 0 or den <= 0:
+            raise ValueError("sequence entries must be positive")
         sn = num.bit_length() - 53
         sd = den.bit_length() - 53
         if sn < 0:
@@ -187,80 +200,55 @@ def _log_ratios(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[float], 
         # Both shifted operands are below 2**53, so the quotient is rounded once.
         f = (num >> sn) / (den >> sd)
         e = sn - sd
-        if f_prev is not None:
-            ell = math.log(f / f_prev)
-            k = e - e_prev
-            lams.append(ell + k * _LN2)
-            epss.append(_EPS_UNIT * (1.0 + abs(ell) + abs(k)))
-        f_prev = f
-        e_prev = e
-    return lams, epss
-
-
-def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
-    n = len(nums)
-    lams, epss = _log_ratios(nums, dens)
-    exact = 0
-    # (P_r, Q_r) compares z_{r+1} with z_r; formed only where the filter
-    # leaves a comparison undecided.
-    pq: dict[int, tuple[int, int]] = {}
-
-    def products(r: int) -> tuple[int, int]:
-        if r not in pq:
-            pq[r] = (nums[r + 1] * dens[r], nums[r] * dens[r + 1])
-        return pq[r]
-
-    signs = []
-    for r in range(n - 1):
-        lam = lams[r]
-        eps = epss[r]
-        if lam > eps:
-            signs.append(1)
-        elif lam < -eps:
-            signs.append(-1)
-        else:
-            exact += 1
-            p, q = products(r)
-            signs.append((p > q) - (p < q))
-
-    fallen = False
-    unimodal = True
-    for s in signs:
-        if s < 0:
-            fallen = True
-        elif s > 0 and fallen:
-            unimodal = False
-            break
-
-    first_violation = None
-    strict = True
-    for i in range(1, n - 1):
-        d = lams[i - 1] - lams[i]
-        bound = epss[i - 1] + epss[i]
-        if d > bound:
-            continue
-        if d < -bound:
-            first_violation = i
-            break
-        exact += 1
-        p_prev, q_prev = products(i - 1)
-        p_here, q_here = products(i)
-        lhs = p_prev * q_here
-        rhs = p_here * q_prev
-        if lhs < rhs:
-            first_violation = i
-            break
-        if lhs == rhs:
-            strict = False
-
-    if unimodal:
-        last_rise = -1
-        first_fall = -1
-        for r in range(n - 1):
-            if signs[r] > 0:
+        if r >= 0:
+            ell = math.log(f / prev_f)
+            k = e - prev_e
+            lam = ell + k * _LN2
+            eps = _EPS_UNIT * (1.0 + abs(ell) + abs(k))
+            p = q = None
+            if lam > eps:
                 last_rise = r
-            elif signs[r] < 0 and first_fall < 0:
-                first_fall = r
+            elif lam < -eps:
+                if first_fall < 0:
+                    first_fall = r
+            else:
+                exact += 1
+                p, q = num * prev_den, prev_num * den
+                if p > q:
+                    last_rise = r
+                elif p < q and first_fall < 0:
+                    first_fall = r
+            if r and first_violation is None:
+                d = prev_lam - lam
+                bound = prev_eps + eps
+                if d < -bound:
+                    first_violation = r
+                elif d <= bound:
+                    exact += 1
+                    if prev_p is None:
+                        prev_p, prev_q = prev_num * prev2_den, prev2_num * prev_den
+                    if p is None:
+                        p, q = num * prev_den, prev_num * den
+                    lhs = prev_p * q
+                    rhs = p * prev_q
+                    if lhs < rhs:
+                        first_violation = r
+                    elif lhs == rhs:
+                        strict = False
+            prev_lam = lam
+            prev_eps = eps
+            prev_p = p
+            prev_q = q
+        prev2_num = prev_num
+        prev2_den = prev_den
+        prev_num = num
+        prev_den = den
+        prev_f = f
+        prev_e = e
+
+    n = len(nums)
+    unimodal = first_fall < 0 or last_rise < first_fall
+    if unimodal:
         lo = last_rise + 1
         hi = first_fall if first_fall >= 0 else n - 1
         plateau: tuple[int, int] | None = (lo, hi)
@@ -288,7 +276,11 @@ def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
 
 
 def scan(seq) -> SequenceScan:
-    """Run all structural checks in one pass over the sequence."""
+    """Run all structural checks in one pass over the sequence.
+
+    A sequence that is not unimodal takes a second, exact walk for its
+    peak set.
+    """
     nums, dens = _integer_pairs(seq)
     return _scan_pairs(nums, dens)
 

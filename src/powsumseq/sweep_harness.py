@@ -440,7 +440,7 @@ def check_l_threshold(a: int, m: int, l_max: int) -> ThresholdResult:
     failing = [
         l
         for l in range(1, l_max + 1)
-        if not scan(full_sequence(SeqParams(m, l, Fraction(a)))).log_concavity.log_concave
+        if not scan(full_sequence(SeqParams(m, l, a))).log_concavity.log_concave
     ]
     return ThresholdResult.from_failing(a, m, l_max, failing)
 

@@ -193,6 +193,13 @@ class TestBinomialPowerSums:
             1 + n**2 + math.comb(n, 2) ** 2,
         ]
 
+    def test_float_weight_rejected(self):
+        with pytest.raises(TypeError, match="refusing to convert a float"):
+            list(binomial_power_sums(5, 2, 1.5, 5))
+        assert list(binomial_power_sums(5, 2, 3, 5)) == list(
+            binomial_power_sums(5, 2, Fraction(3), 5)
+        )
+
 
 class TestScaledArrays:
     def test_prefix_sums_match_power_sum(self):
@@ -227,6 +234,12 @@ class TestScaledArrays:
                 for r in range(12)
             ]
             assert scaled_row_sums(l, a, 11) == generic
+
+    @pytest.mark.parametrize("l", [2, 4])
+    def test_row_sums_reject_float_weight(self, l):
+        # l = 2 steps a recurrence, l = 4 sums each row directly.
+        with pytest.raises(TypeError, match="refusing to convert a float"):
+            scaled_row_sums(l, 1.5, 5)
 
 
 class TestExactSequence:

@@ -504,3 +504,17 @@ class TestExactFallbacks:
     def test_geometric_takes_one_per_interior_index(self, ratio, length):
         entries = [Fraction(5, 3) * ratio**r for r in range(length)]
         assert scan(entries).exact_fallbacks == length - 2
+
+    def test_signs_after_a_filter_decided_violation(self):
+        # z_0..z_2 = 1, 2, 8: log-concavity fails at 1 by a wide margin, so
+        # the filter decides it, and no later index is examined.  The six
+        # ratios 1 + 2**-80 after it are near-ties: each sign goes exact,
+        # while their second differences (exact ties) are never examined.
+        entries = [Fraction(1), Fraction(2), Fraction(8)]
+        for _ in range(6):
+            entries.append(entries[-1] * (1 + Fraction(1, 2**80)))
+        result = scan(entries)
+        assert result == exact_scan(entries)
+        assert result.log_concavity.first_violation == 1
+        assert result.unimodality.plateau == (8, 8)
+        assert result.exact_fallbacks == 6

@@ -276,6 +276,8 @@ class TestCheckLThreshold:
     def test_validation(self):
         with pytest.raises(ValueError):
             check_l_threshold(0, 5, 20)
+        with pytest.raises(TypeError):
+            check_l_threshold(1.5, 5, 2)
 
     def test_sweep_thresholds_match_recomputation(self):
         report = run_sweep(SweepGrid((1, 12), (1, 3), 20))
