@@ -26,12 +26,13 @@ two routes must agree to floating-point accuracy.
 
 Peak values overflow ``float`` beyond m of a few hundred, so everything runs
 in log space.  ``log_of_rational`` takes the natural log of an arbitrarily
-large exact rational in O(bits) time: it splits off the power of two between
-the operand sizes, then feeds ``math.log1p`` a correctly-rounded quotient
-formed from the top 128 bits of each side — no full-precision big-integer
-division, and no catastrophic cancellation near 1 because the difference
-p - q is formed exactly first.  Relative error is at most 1e-12 (a few
-ulps in practice); the returned bound is conservative.
+large exact rational p/q in O(bits) time: unless the bit lengths of p and q
+differ by at most one, it shifts the shorter one left to the length of the
+other, so that 1/4 < p/q < 4, and feeds ``math.log1p`` the quotient
+(p - q) / q.  Python's int true division rounds that quotient correctly in
+O(bits) time, and forming p - q exactly first avoids catastrophic
+cancellation near 1.  Relative error is at most 1e-12 (a few ulps in
+practice); the returned bound is conservative.
 """
 
 from __future__ import annotations
@@ -72,24 +73,6 @@ class LogValue(NamedTuple):
     error: float
 
 
-def _top_quotient(d: int, q: int) -> float:
-    """d / q correctly rounded from the top 128 bits of each operand.
-
-    Cost is O(bits) (shifts only); relative error is at most a few units in
-    the last place, since the discarded tails perturb each operand by less
-    than 2**-127 relatively.
-    """
-    if d == 0:
-        return 0.0
-    neg = d < 0
-    if neg:
-        d = -d
-    sd = max(d.bit_length() - 128, 0)
-    sq = max(q.bit_length() - 128, 0)
-    quot = math.ldexp((d >> sd) / (q >> sq), sd - sq)
-    return -quot if neg else quot
-
-
 def _log_ratio(p: int, q: int) -> LogValue:
     """log(p / q) for positive integers of any size, in O(bits) time."""
     if p <= 0 or q <= 0:
@@ -102,7 +85,7 @@ def _log_ratio(p: int, q: int) -> LogValue:
     else:
         shift = 0
     # Now 1/4 < p/q < 4, so log1p sees an argument in (-3/4, 3).
-    value = shift * _LN2 + math.log1p(_top_quotient(p - q, q))
+    value = shift * _LN2 + math.log1p((p - q) / q)
     return LogValue(value, (1.0 + abs(value)) * 1e-14)
 
 

@@ -107,8 +107,11 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
 
     Accepts e.g. ``"3"``, ``"2/5"``, ``"0.25"`` (decimals are exact: 0.1
     becomes 1/10).  Floats are rejected: binary floats do not represent the
-    intended decimal exactly, so callers must pass a string instead.
+    intended decimal exactly, so callers must pass a string instead.  A
+    ``Fraction`` (not a subclass) is immutable, so it is returned as is.
     """
+    if type(text) is Fraction:
+        return text
     if isinstance(text, float):
         raise TypeError(
             "refusing to convert a float to an exact rational; "
@@ -184,14 +187,14 @@ def weighted_power_sum(m: int, l: int, a: Fraction | int | str, r: int) -> Fract
 _RATIO_STEP_MIN_N = 400
 
 
-def binomial_power_sums(n: int, l: int, a: Fraction | int, r_max: int) -> Iterator[int]:
+def binomial_power_sums(n: int, l: int, a: Fraction | int | str, r_max: int) -> Iterator[int]:
     """Yield sum_{i<=r} C(n, i)**l * p**(i*l) * q**((r-i)*l) for r = 0..r_max.
 
     ``a = p/q`` in lowest terms.  These are the scaled prefix sums of the
     module docstring, one new term per step; with a = 1 they are the plain
-    sums of C(n, i)**l.  A generator, so callers that need only the last sum
-    hold one big integer at a time.  When q = 1, that is for every integer
-    weight a, each step skips the multiplication by q**l.
+    sums of C(n, i)**l.  It returns a generator, so callers that need only
+    the last sum hold one big integer at a time.  When q = 1, that is for
+    every integer weight a, each step skips the multiplication by q**l.
 
     Each new term t_i = (C(n, i) * p**i)**l comes by one of two rules,
     chosen by n.  For n < ``_RATIO_STEP_MIN_N`` the loop steps
@@ -202,11 +205,17 @@ def binomial_power_sums(n: int, l: int, a: Fraction | int, r_max: int) -> Iterat
     t_{i-1} * ((n-i+1) p)**l = (C(n, i-1) (n-i+1) p**i)**l
     = (C(n, i) * i * p**i)**l = t_i * i**l.
 
-    ``a`` other than an int or a Fraction is read by ``parse_rational``, so
-    a float raises ``TypeError``.
+    n, l and a are checked as ``SeqParams`` checks them, and r_max >= 0,
+    at the call rather than at the first ``next``.  r_max > n is allowed.
     """
-    if not isinstance(a, (int, Fraction)):
-        a = parse_rational(a)
+    a = SeqParams(n, l, a).a
+    if r_max < 0:
+        raise ValueError(f"r_max must be >= 0, got {r_max}")
+    return _binomial_power_sums(n, l, a, r_max)
+
+
+def _binomial_power_sums(n: int, l: int, a: Fraction, r_max: int) -> Iterator[int]:
+    """``binomial_power_sums`` without its argument checks."""
     p, q = a.numerator, a.denominator
     acc = 1
     yield acc
@@ -234,6 +243,7 @@ def scaled_prefix_sums(m: int, l: int, a: Fraction) -> list[int]:
 
     N_r equals P(m, r) * a.denominator**(r*l); these integers share their
     scaling with ``scaled_row_sums`` so N_r / D_r is the sequence entry.
+    m, l and a are checked as ``binomial_power_sums`` checks n, l and a.
     """
     return list(binomial_power_sums(m, l, a, m))
 
@@ -286,8 +296,8 @@ def _poly_values(coeffs: Sequence[int]) -> Iterator[int]:
 
 
 def _direct_row_sum(l: int, a: Fraction, r: int) -> int:
-    """D_r as the r + 1 terms of ``binomial_power_sums``."""
-    return deque(binomial_power_sums(r, l, a, r), maxlen=1).pop()
+    """D_r as the r + 1 terms of ``binomial_power_sums``; the caller checks l and a."""
+    return deque(_binomial_power_sums(r, l, a, r), maxlen=1).pop()
 
 
 def _inexact_step(l: int, a: Fraction, r: int) -> ArithmeticError:
@@ -310,11 +320,10 @@ def scaled_row_sums(l: int, a: Fraction, r_max: int) -> list[int]:
     catches wrong entries that keep every quotient integral, which the
     small leading coefficients of l = 1 and l = 2 allow.  For l >= 4 every
     D_r is summed directly, r + 1 terms each, so the row costs
-    Theta(r_max**2) big-integer terms.  ``a`` is read as
-    ``binomial_power_sums`` reads it, so a float raises ``TypeError``.
+    Theta(r_max**2) big-integer terms.  r_max, l and a are checked first,
+    as ``SeqParams`` checks m, l and a.
     """
-    if not isinstance(a, (int, Fraction)):
-        a = parse_rational(a)
+    a = SeqParams(r_max, l, a).a
     entry = _ROW_RECURRENCES.get(l)
     if entry is None:
         return [_direct_row_sum(l, a, r) for r in range(r_max + 1)]

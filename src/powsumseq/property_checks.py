@@ -345,9 +345,12 @@ class PropertyReport:
     def from_scan(cls, params: SeqParams, result: SequenceScan) -> "PropertyReport":
         """The report on ``params`` given the scan of its sequence.
 
-        ``window_hit`` compares the full peak set against the clamped window
-        {c-1, c, c+1}; ``known_exception`` marks the l = 1 exceptional list.
+        ``window_hit`` says whether every peak index is within 1 of the
+        conjectured center, which, as peaks lie in [0, m], is the peak set
+        inside ``peak_window``; ``known_exception`` marks the l = 1
+        exceptional list.
         """
+        center = conjectured_center(params.m, params.a)
         return cls(
             params=params,
             unimodal=result.unimodality.unimodal,
@@ -355,8 +358,8 @@ class PropertyReport:
             first_lc_violation=result.log_concavity.first_violation,
             peak_set=result.peaks.indices,
             unique_max=result.peaks.unique,
-            conjectured_center=conjectured_center(params.m, params.a),
-            window_hit=set(result.peaks.indices) <= set(peak_window(params.m, params.a)),
+            conjectured_center=center,
+            window_hit=all(abs(i - center) <= 1 for i in result.peaks.indices),
             known_exception=known_l1_exception(params),
         )
 

@@ -434,7 +434,9 @@ def run_sweep(
 
 def check_l_threshold(a: int, m: int, l_max: int) -> ThresholdResult:
     """Recompute, from scratch, the least l <= l_max at which (m, l, a)
-    loses log-concavity, and whether the failure persists to l_max."""
+    loses log-concavity, and whether the failure persists to l_max.
+    A float weight raises ``TypeError`` whatever its value."""
+    SeqParams(m, l_max, a)
     if a < 1 or m < 1 or l_max < 1:
         raise ValueError("need a >= 1, m >= 1, l_max >= 1")
     failing = [

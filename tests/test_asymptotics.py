@@ -2,6 +2,9 @@
 exact sandwich bounds, and the peak-versus-law ratios."""
 
 import math
+import random
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from powsumseq import (
     SeqParams,
     TheoryViolation,
+    asymptotics,
     central_ratio,
     conjectured_ratio,
     exact_core,
@@ -23,6 +27,54 @@ from powsumseq import (
 positive_rationals = st.fractions(
     min_value=Fraction(1, 10**6), max_value=Fraction(10**6), max_denominator=10**6
 )
+
+
+def decimal_log_ratio(p: int, q: int) -> Decimal:
+    """log(p / q) to 60 significant digits with the decimal module.
+
+    Near 1 it sums the series of log(1 + x) for the exact x = (p - q) / q,
+    since the difference of two 60-digit logs would cancel there.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(p - q) / q
+        if abs(x) < Decimal("1e-20"):
+            return x - x * x / 2 + x * x * x / 3
+        return Decimal(p).ln() - Decimal(q).ln()
+
+
+def log_ratio_cases():
+    """(p, q) pairs of 10 to 300 000 bits: p < q, p = q, p = q +- 1, p > q."""
+    rng = random.Random(11)
+    cases = []
+    for bits in (10, 53, 60, 200, 2000, 300_000):
+        q = rng.getrandbits(bits) | 1 << (bits - 1)
+        below = rng.getrandbits(bits - 1) | 1 << (bits - 2)
+        short = rng.getrandbits(10) | 1 << 9
+        pairs = {
+            "equal": (q, q),
+            "plus1": (q + 1, q),
+            "minus1": (q - 1, q),
+            "below": (below, q),
+            "above": (q, below),
+            "short-over-long": (short, q),
+            "long-over-3": (q, 3),
+        }
+        cases += [pytest.param(p, q, id=f"{bits}-{name}") for name, (p, q) in pairs.items()]
+    return cases
+
+
+class TestLogRatioOracle:
+    @pytest.mark.parametrize("p, q", log_ratio_cases())
+    def test_matches_decimal_oracle(self, p, q):
+        result = asymptotics._log_ratio(p, q)
+        expected = decimal_log_ratio(p, q)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            miss = abs(Decimal(result.value) - expected)
+            assert miss <= Decimal(result.error)
+            # The documented relative bound, down to the smallest normal float.
+            assert miss <= Decimal(1e-12) * abs(expected) + Decimal(sys.float_info.min)
 
 
 class TestLogOfRational:
@@ -197,7 +249,7 @@ class TestConjecturedRatio:
         # summed directly; the Theta(m^2) route would sum every D_r.
         direct_r = []
         in_rows = []
-        sums = exact_core.binomial_power_sums
+        sums = exact_core._binomial_power_sums
         rows = exact_core.scaled_row_sums
 
         def counting_sums(n, l, a, r_max):
@@ -212,7 +264,7 @@ class TestConjecturedRatio:
             finally:
                 in_rows.pop()
 
-        monkeypatch.setattr(exact_core, "binomial_power_sums", counting_sums)
+        monkeypatch.setattr(exact_core, "_binomial_power_sums", counting_sums)
         monkeypatch.setattr(exact_core, "scaled_row_sums", flagged_rows)
         params = SeqParams(2000, 3, Fraction(2, 3))
         result = conjectured_ratio(params)

@@ -61,6 +61,15 @@ class TestParseRational:
         with pytest.raises(TypeError):
             parse_rational(0.25)
 
+    def test_returns_a_fraction_unchanged(self):
+        x = Fraction(7, 3)
+        assert parse_rational(x) is x
+
+        class Weight(Fraction):
+            pass
+
+        assert type(parse_rational(Weight(7, 3))) is Fraction
+
 
 class TestSeqParams:
     def test_normalises_weight(self):
@@ -199,6 +208,34 @@ class TestBinomialPowerSums:
         assert list(binomial_power_sums(5, 2, 3, 5)) == list(
             binomial_power_sums(5, 2, Fraction(3), 5)
         )
+
+
+class TestBuilderChecks:
+    """Each public builder checks its arguments when called, before any work."""
+
+    @pytest.mark.parametrize(
+        "build, args, error",
+        [
+            pytest.param(binomial_power_sums, (5, 2, 1.5, 5), TypeError, id="sums-float-a"),
+            pytest.param(binomial_power_sums, (5, 2, 0, 5), ValueError, id="sums-zero-a"),
+            pytest.param(binomial_power_sums, (-1, 2, 1, 5), ValueError, id="sums-negative-n"),
+            pytest.param(binomial_power_sums, (5, 0, 1, 5), ValueError, id="sums-zero-l"),
+            pytest.param(binomial_power_sums, (5, 2, 1, -1), ValueError, id="sums-negative-r_max"),
+            pytest.param(scaled_row_sums, (-1, 2, 3), ValueError, id="rows-negative-l"),
+            pytest.param(scaled_row_sums, (0, 1, 4), ValueError, id="rows-zero-l"),
+            pytest.param(scaled_row_sums, (2, -1, 4), ValueError, id="rows-negative-a"),
+            pytest.param(scaled_row_sums, (2, 1, -1), ValueError, id="rows-negative-r_max"),
+            pytest.param(scaled_prefix_sums, (3, 2, -2), ValueError, id="prefix-negative-a"),
+        ],
+    )
+    def test_bad_arguments_raise_at_the_call(self, build, args, error):
+        # Not iterated: a generator must raise before its first value.
+        with pytest.raises(error):
+            build(*args)
+
+    def test_r_max_past_n_is_allowed(self):
+        # verify_right_peak_inequality reads S(2) at n = 1.
+        assert list(binomial_power_sums(1, 2, 1, 3)) == [1, 2, 2, 2]
 
 
 class TestScaledArrays:

@@ -275,6 +275,44 @@ class TestWindow:
         assert peak_window(10, "1/10") == peak_window(10, Fraction(1, 10))
 
 
+def report_window_hit(m, a, peaks):
+    """``window_hit`` of the report on (m, 1, a) given a scan with these peaks."""
+    result = SequenceScan(
+        Unimodality(False, None),
+        LogConcavity(True, None, True),
+        Peaks(peaks, len(peaks) == 1),
+    )
+    return PropertyReport.from_scan(SeqParams(m, 1, a), result).window_hit
+
+
+@st.composite
+def window_cases(draw):
+    """(m, a, peaks): peaks a nonempty sorted subset of [0, m], often near the center."""
+    m = draw(st.integers(0, 200))
+    a = Fraction(draw(st.integers(1, 50)), draw(st.integers(1, 50)))
+    c = conjectured_center(m, a)
+    indices = st.integers(0, m) | st.integers(max(c - 2, 0), min(c + 2, m))
+    peaks = draw(st.sets(indices, min_size=1, max_size=6))
+    return m, a, tuple(sorted(peaks))
+
+
+class TestReportWindowHit:
+    @given(window_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_clamped_window(self, case):
+        m, a, peaks = case
+        assert report_window_hit(m, a, peaks) == (set(peaks) <= set(peak_window(m, a)))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("a", [Fraction(1, 50), Fraction(1), Fraction(50)])
+    def test_clamped_at_short_lengths(self, m, a):
+        # At m = 0 and m = 1 the window {c-1, c, c+1} reaches past [0, m].
+        for peaks in [(0,), (1,), (0, 1)]:
+            if peaks[-1] <= m:
+                expected = set(peaks) <= set(peak_window(m, a))
+                assert report_window_hit(m, a, peaks) == expected
+
+
 class TestKnownExceptions:
     def test_only_l1(self):
         assert not known_l1_exception(SeqParams(3, 2, 1))

@@ -279,6 +279,10 @@ class TestCheckLThreshold:
         with pytest.raises(TypeError):
             check_l_threshold(1.5, 5, 2)
 
+    def test_float_weight_below_one_rejected_as_float(self):
+        with pytest.raises(TypeError, match="refusing to convert a float"):
+            check_l_threshold(0.5, 5, 2)
+
     def test_sweep_thresholds_match_recomputation(self):
         report = run_sweep(SweepGrid((1, 12), (1, 3), 20))
         thresholds = report.threshold_checks()
