@@ -135,12 +135,8 @@ def _sandwich(m: int, peak: tuple[int, int, int]) -> SandwichBounds:
     r, total, central = peak
     binom_sq = math.comb(m, r) ** 2
     value = Fraction(total, central)
-    lower = (
-        Fraction(r + 1, 3 * r + 1)
-        * Fraction(m - r, r + 1) ** 2
-        * Fraction(binom_sq, central)
-    )
-    upper = Fraction(4 * r - 2, 3 * r - 2) * Fraction(binom_sq, central)
+    lower = Fraction((m - r) ** 2 * binom_sq, (3 * r + 1) * (r + 1) * central)
+    upper = Fraction((4 * r - 2) * binom_sq, (3 * r - 2) * central)
     if not lower < value < upper:
         raise TheoryViolation(
             f"sandwich containment failed at m={m}: "

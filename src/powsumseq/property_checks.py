@@ -313,12 +313,14 @@ def known_l1_exception(params: SeqParams) -> bool:
     For l = 1 the peak sits exactly at the conjectured center except for
     m in {3, 2a+4, 4a+5}, plus m = 12 when a = 1.  Membership is tested with
     exact rational equality, so non-integer weights simply never match the
-    non-integer entries.
+    non-integer entries.  With a = p/q in lowest terms the tests are integer
+    equalities, m - 4 = 2a as (m - 4) q = 2p and m - 5 = 4a as (m - 5) q = 4p.
     """
     if params.l != 1:
         return False
     m, a = params.m, params.a
-    if m == 3 or m == 2 * a + 4 or m == 4 * a + 5:
+    p, q = a.numerator, a.denominator
+    if m == 3 or (m - 4) * q == 2 * p or (m - 5) * q == 4 * p:
         return True
     return a == 1 and m == 12
 

@@ -61,8 +61,8 @@ def _perturb(monkeypatch, n, j, change):
 
 
 def _force_exact(monkeypatch):
-    """Leave every peak-inequality index undecided by the float walk, so each
-    one reads the prefix sums, and decide every chain link by products."""
+    """Let the float walk certify no peak-inequality index, so each one reads
+    the prefix sums, and decide every chain link by products."""
     walk = poly_certificates._ratio_walk
     monkeypatch.setattr(
         poly_certificates, "_ratio_walk",
@@ -385,18 +385,56 @@ class TestPeakInequalities:
                 assert abs(Fraction(t) - exact) <= Fraction(err), (m, j)
                 assert 0 < err < 2**-35 * t, (m, j)
 
-    def test_ties_stay_undecided(self):
-        # 3 * T = 1 exactly for T = 1/3; a t within err of T must not decide.
-        from powsumseq.poly_certificates import _decided_sign
+    def test_ties_stay_undecided(self, monkeypatch):
+        # A walk value within err of a tie c*T = n never certifies: the index
+        # goes to the exact sign, which reads 0 at a true tie.
+        from powsumseq.poly_certificates import _exact_sign
 
-        third = 1 / 3
-        for t in (math.nextafter(third, 0), third, math.nextafter(third, 1)):
-            assert _decided_sign(3, t, 2**-50 * t, 1) == 0
-        assert _decided_sign(3, 0.5, 2**-50, 1) == 1
-        assert _decided_sign(3, 0.25, 2**-50, 1) == -1
+        assert _exact_sign(3, 1, 9, 1) == 0  # 9 * S(0) = 1 * C(3, 1)^2
+        assert _exact_sign(3, 1, 10, 1) == 1
+        assert _exact_sign(3, 1, 8, 1) == -1
+        # m = 10 has r = 4, c = 10; q = 4 has c = 13, n = 5 for m = 12, 11, 10.
+        checks = ((verify_left_peak_inequality, 10, 4 / 10, 2 + 3 + 4 + 5),
+                  (verify_right_peak_inequality, 4, 5 / 13, 3 * 6))
+        yielded = _count_terms(monkeypatch)
+        for verify, instance, tie, terms in checks:
+            for t in (math.nextafter(tie, 0), tie, math.nextafter(tie, 1)):
+                monkeypatch.setattr(
+                    poly_certificates, "_ratio_walk",
+                    lambda m, j_max: ((t, 2**-50 * t) for _ in range(j_max)),
+                )
+                yielded.clear()
+                assert verify(instance).passed
+                assert len(yielded) == terms
+
+    def test_walk_failure_is_confirmed_exactly(self, monkeypatch):
+        # A walk that claims every index fails, with no error, cannot fail a
+        # true inequality: exact arithmetic decides each claimed failure.
+        def claim(t):
+            monkeypatch.setattr(
+                poly_certificates, "_ratio_walk",
+                lambda m, j_max: ((t, 0.0) for _ in range(j_max)),
+            )
+
+        claim(1e9)
+        for m in range(2, 60):
+            assert verify_left_peak_inequality(m) == Verdict(
+                "left-peak-inequality", True, (m + 2) // 3, None
+            )
+        claim(0.0)
+        for q in range(1, 30):
+            assert verify_right_peak_inequality(q) == Verdict(
+                "right-peak-inequality", True, 3, None
+            )
 
     def test_filter_decides_without_prefix_sums(self, monkeypatch):
-        yielded = _count_terms(monkeypatch)
+        # Not a term read, and not a stream opened.
+        calls = []
+        original = poly_certificates.binomial_power_sums
+        monkeypatch.setattr(
+            poly_certificates, "binomial_power_sums",
+            lambda *args: calls.append(args) or original(*args),
+        )
         for m in (200, 1000, 2000):
             assert verify_left_peak_inequality(m) == Verdict(
                 "left-peak-inequality", True, (m + 2) // 3, None
@@ -404,7 +442,7 @@ class TestPeakInequalities:
         assert verify_right_peak_inequality(500) == Verdict(
             "right-peak-inequality", True, 3, None
         )
-        assert yielded == []
+        assert calls == []
 
     def test_right_m1_goes_exact(self, monkeypatch):
         # q = 1 checks m = 3, 2, 1; C(1, 2) = 0, so m = 1 reads S(0), S(1), S(2).
