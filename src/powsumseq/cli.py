@@ -44,9 +44,12 @@ def _rational(text: str) -> Fraction:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty int list: {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

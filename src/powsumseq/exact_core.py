@@ -107,7 +107,8 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
 
     Accepts e.g. ``"3"``, ``"2/5"``, ``"0.25"`` (decimals are exact: 0.1
     becomes 1/10).  Floats are rejected: binary floats do not represent the
-    intended decimal exactly, so callers must pass a string instead.  A
+    intended decimal exactly, so callers must pass a string instead.  Bools
+    are rejected too, as ``SeqParams`` rejects a bool ``m`` or ``l``.  A
     ``Fraction`` (not a subclass) is immutable, so it is returned as is.
     """
     if type(text) is Fraction:
@@ -117,6 +118,8 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
             "refusing to convert a float to an exact rational; "
             "pass a string like '0.25' or '1/4' instead"
         )
+    if isinstance(text, bool):
+        raise TypeError(f"refusing to read a bool as a rational, got {text!r}")
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     try:

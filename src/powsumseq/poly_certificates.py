@@ -564,7 +564,16 @@ def run_battery(
     table: CertTable, sign_q_max: int, chain_q_max: int, goal_q_max: int, left_m_max: int
 ) -> CertificateReport:
     """Run every check on a built table.  The report does not hold the table
-    (about 14 MB at n_max = 200); ``polycert --dump`` keeps its own."""
+    (about 14 MB at n_max = 200); ``polycert --dump`` keeps its own.
+
+    A bound that leaves a family with no instance is a ``ValueError``, so
+    no family passes having checked nothing.
+    """
+    for name, bound, least in (("chain_q_max", chain_q_max, 1),
+                               ("goal_q_max", goal_q_max, 1),
+                               ("left_m_max", left_m_max, 2)):
+        if bound < least:
+            raise ValueError(f"{name} must be >= {least}, got {bound}")
     n_max = table.n_max
     # build_cert_table compared every coefficient of each X_n and Y_n.
     route_checks = sum(len(poly.coeffs) for poly in table.x_polys + table.y_polys)

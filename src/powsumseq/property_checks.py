@@ -24,11 +24,13 @@ loop, below).  It accepts either an
 :class:`~powsumseq.exact_core.ExactSequence` (whose pre-scaled integer pairs
 are used as-is) or any iterable of positive rationals (Fractions or ints).
 
-Exact comparisons.  Adjacent entries z_r = N_r / D_r compare through the
-products P_r = N_{r+1} * D_r and Q_r = N_r * D_{r+1}: the sign of
-z_{r+1} - z_r is the sign of P_r - Q_r, and log-concavity at i reduces to
-P_{i-1} * Q_i >= P_i * Q_{i-1}, which equals the textbook cross-multiplied
-form N_i^2 D_{i-1} D_{i+1} >= N_{i-1} N_{i+1} D_i^2.
+Exact comparisons.  One comparison, ``_ratio_sign``, gives the sign of
+a/b - c/d (b, d > 0) as that of a*d - c*b.  It is used three ways on the
+entries z_r = N_r / D_r: (N_{r+1}, D_{r+1}) against (N_r, D_r) for the sign
+of z_{r+1} - z_r; z_i^2 = N_i^2 / D_i^2 against z_{i-1} z_{i+1} =
+N_{i-1} N_{i+1} / (D_{i-1} D_{i+1}) for log-concavity at i, the textbook
+form N_i^2 D_{i-1} D_{i+1} >= N_{i-1} N_{i+1} D_i^2; and, in the peak search
+of a non-unimodal sequence, each entry against the current maximum.
 
 The filter (Fortune & Van Wyk 1993; Shewchuk 1997).  Both questions are
 signs of logs: z_{r+1} - z_r has the sign of lambda_r = log(z_{r+1} / z_r),
@@ -63,10 +65,9 @@ The sign of z_{r+1} - z_r is decided when |lam_r| > eps_r.  Log-concavity at
 i is decided when |d| > eps_{i-1} + eps_i for d = fl(lam_{i-1} - lam_i):
 the true difference is off by at most half that sum (each eps is twice
 its error) plus the rounding u |d| of the subtraction, which is less than
-|d|.  Every other comparison, which includes every exact tie, falls back to
-the exact products, formed lazily and only for the undecided indices, so
-``strict``, plateaus, ``first_violation`` and the peak set are those of the
-all-products scan.
+|d|.  Every other comparison, which includes every exact tie, goes to the
+exact comparison, so ``strict``, plateaus, ``first_violation`` and the peak
+set are those of an all-exact scan.
 
 The loop.  ``scan`` reads the (N_i, D_i) pairs once, in order.  At entry i
 it rejects a nonpositive pair, splits both integers, and for r = i - 1 forms
@@ -74,13 +75,12 @@ lam_r and eps_r and decides the sign of z_{r+1} - z_r, keeping only the last
 index of a rise and the first of a fall.  Until the first log-concavity
 violation it also decides log-concavity at r from lam_{r-1} and lam_r; no
 index after that violation is examined.  What one index hands the next is
-fixed in size: entries i-1 and i-2, lam_{r-1} and eps_{r-1}, and the
-products (P, Q) of r - 1 and r where an undecided comparison formed them.
-The sequence is unimodal iff no rise follows the first fall, and its
-plateau is then [last rise + 1, first fall], or up to the last index when
-nothing falls.  The peak search of a non-unimodal sequence is the one
-second walk: it compares each entry exactly with the current maximum, the
-only comparisons between non-adjacent entries.
+fixed in size: entries i-1 and i-2, the split of i-1, and lam_{r-1} and
+eps_{r-1}; no product outlives the comparison that formed it.  The
+sequence is unimodal iff no rise follows the first fall, and its plateau is
+then [last rise + 1, first fall], or up to the last index when nothing
+falls.  The peak search of a non-unimodal sequence is the one second walk
+and makes the only comparisons between non-adjacent entries.
 """
 
 from __future__ import annotations
@@ -179,14 +179,20 @@ def _integer_pairs(seq) -> tuple[Sequence[int], Sequence[int]]:
     return nums, dens
 
 
+def _ratio_sign(a: int, b: int, c: int, d: int) -> int:
+    """The sign (-1, 0 or 1) of a/b - c/d for positive b and d."""
+    lhs = a * d
+    rhs = c * b
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
     exact = 0
     last_rise = first_fall = -1
     first_violation = None
     strict = True
-    # This entry is r + 1.  prev_* hold entry r and the lam, eps and products
-    # of r - 1, prev2_* entry r - 1.  A product pair (P, Q) is None until an
-    # undecided comparison needs it.
+    # This entry is r + 1.  prev_* hold entry r, its split and the lam and eps
+    # of r - 1; prev2_* hold entry r - 1.
     prev_num = prev_den = None
     for r, (num, den) in enumerate(zip(nums, dens), -1):
         if num <= 0 or den <= 0:
@@ -205,7 +211,6 @@ def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
             k = e - prev_e
             lam = ell + k * _LN2
             eps = _EPS_UNIT * (1.0 + abs(ell) + abs(k))
-            p = q = None
             if lam > eps:
                 last_rise = r
             elif lam < -eps:
@@ -213,10 +218,10 @@ def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
                     first_fall = r
             else:
                 exact += 1
-                p, q = num * prev_den, prev_num * den
-                if p > q:
+                sign = _ratio_sign(num, den, prev_num, prev_den)
+                if sign > 0:
                     last_rise = r
-                elif p < q and first_fall < 0:
+                elif sign < 0 and first_fall < 0:
                     first_fall = r
             if r and first_violation is None:
                 d = prev_lam - lam
@@ -225,20 +230,14 @@ def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
                     first_violation = r
                 elif d <= bound:
                     exact += 1
-                    if prev_p is None:
-                        prev_p, prev_q = prev_num * prev2_den, prev2_num * prev_den
-                    if p is None:
-                        p, q = num * prev_den, prev_num * den
-                    lhs = prev_p * q
-                    rhs = p * prev_q
-                    if lhs < rhs:
+                    sign = _ratio_sign(prev_num * prev_num, prev_den * prev_den,
+                                       prev2_num * num, prev2_den * den)
+                    if sign < 0:
                         first_violation = r
-                    elif lhs == rhs:
+                    elif sign == 0:
                         strict = False
             prev_lam = lam
             prev_eps = eps
-            prev_p = p
-            prev_q = q
         prev2_num = prev_num
         prev2_den = prev_den
         prev_num = num
@@ -258,11 +257,10 @@ def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
         best = [0]
         for r in range(1, n):
             exact += 1
-            cmp_lhs = nums[r] * dens[best[0]]
-            cmp_rhs = nums[best[0]] * dens[r]
-            if cmp_lhs > cmp_rhs:
+            sign = _ratio_sign(nums[r], dens[r], nums[best[0]], dens[best[0]])
+            if sign > 0:
                 best = [r]
-            elif cmp_lhs == cmp_rhs:
+            elif sign == 0:
                 best.append(r)
         peak_list = tuple(best)
 

@@ -138,6 +138,15 @@ class TestPolycert:
         assert "[PASS] construction-routes-agree" in out
         assert "[FAIL]" not in out
 
+    def test_bound_with_no_instance_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "polycert", "--n-max", "3", "--sign-q-max", "1", "--chain-q-max", "0",
+            "--goal-q-max", "-5", "--left-m-max", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "chain_q_max must be >= 1" in err
+
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--json")
         assert code == 0
@@ -211,10 +220,11 @@ class TestAsympt:
         assert set(payload[0]) == {"m", "conjectured"}
 
     def test_bad_m_list(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["asympt", "--m-list", "6,x"])
-        assert excinfo.value.code == 2
-        capsys.readouterr()
+        for bad in ("6,x", "", ","):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["asympt", "--m-list", bad])
+            assert excinfo.value.code == 2
+            capsys.readouterr()
 
 
 class TestTable2:

@@ -84,7 +84,9 @@ class TestSeqParams:
         with pytest.raises(ValueError):
             SeqParams(m, l, a)
 
-    @pytest.mark.parametrize("m,l,a", [(2.0, 1, 1), (2, 1.0, 1), (2, 1, 0.5)])
+    @pytest.mark.parametrize(
+        "m,l,a", [(2.0, 1, 1), (2, 1.0, 1), (2, 1, 0.5), (4, 2, True)]
+    )
     def test_rejects_inexact_types(self, m, l, a):
         with pytest.raises(TypeError):
             SeqParams(m, l, a)

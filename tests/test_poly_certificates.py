@@ -481,6 +481,14 @@ class TestRunAll:
         report = run_battery(build_cert_table(3), 3, 3, 3, 5)
         assert report.verdicts[0] == Verdict("construction-routes-agree", True, 36, None)
 
+    @pytest.mark.parametrize(
+        "bounds,name",
+        [((0, 3, 5), "chain_q_max"), ((3, -5, 5), "goal_q_max"), ((3, 3, 1), "left_m_max")],
+    )
+    def test_bound_with_no_instance_rejected(self, bounds, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            run_battery(build_cert_table(3), 3, *bounds)
+
     def test_json_dict(self):
         report = run_all(n_max=3, sign_q_max=3, chain_q_max=3, goal_q_max=3, left_m_max=5)
         payload = report.to_json_dict()
