@@ -21,7 +21,12 @@ from fractions import Fraction
 
 from .asymptotics import TheoryViolation, central_bounds_and_ratio, conjectured_ratio
 from .exact_core import SeqParams, full_sequence, parse_rational
-from .poly_certificates import build_cert_table, dump_polynomials, run_battery
+from .poly_certificates import (
+    build_cert_table,
+    check_battery_bounds,
+    dump_polynomials,
+    run_battery,
+)
 from .property_checks import PropertyReport, conjecture_report, peak_window, scan
 from .sweep_harness import (
     SweepGrid,
@@ -181,14 +186,10 @@ def _cmd_peak(args) -> int:
 
 
 def _cmd_polycert(args) -> int:
+    bounds = (args.sign_q_max, args.chain_q_max, args.goal_q_max, args.left_m_max)
+    check_battery_bounds(*bounds)
     table = build_cert_table(args.n_max)
-    report = run_battery(
-        table,
-        sign_q_max=args.sign_q_max,
-        chain_q_max=args.chain_q_max,
-        goal_q_max=args.goal_q_max,
-        left_m_max=args.left_m_max,
-    )
+    report = run_battery(table, *bounds)
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(dump_polynomials(table))

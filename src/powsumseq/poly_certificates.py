@@ -134,6 +134,7 @@ __all__ = [
     "verify_right_peak_inequality",
     "run_all",
     "run_battery",
+    "check_battery_bounds",
     "dump_polynomials",
 ]
 
@@ -555,9 +556,27 @@ def run_all(
     goal_q_max: int = 500,
     left_m_max: int = 2000,
 ) -> CertificateReport:
-    """Build the table and run every certificate check at the given bounds."""
+    """Build the table and run every certificate check at the given bounds.
+
+    The bounds are checked (``check_battery_bounds``) before the table is built.
+    """
+    check_battery_bounds(sign_q_max, chain_q_max, goal_q_max, left_m_max)
     table = build_cert_table(n_max)
     return run_battery(table, sign_q_max, chain_q_max, goal_q_max, left_m_max)
+
+
+def check_battery_bounds(
+    sign_q_max: int, chain_q_max: int, goal_q_max: int, left_m_max: int
+) -> None:
+    """Raise ``ValueError`` for a bound that leaves a family with no instance,
+    so that no family passes having checked nothing.  Cheap, so callers run
+    it before they build a table."""
+    for name, bound, least in (("sign_q_max", sign_q_max, 1),
+                               ("chain_q_max", chain_q_max, 1),
+                               ("goal_q_max", goal_q_max, 1),
+                               ("left_m_max", left_m_max, 2)):
+        if bound < least:
+            raise ValueError(f"{name} must be >= {least}, got {bound}")
 
 
 def run_battery(
@@ -566,14 +585,9 @@ def run_battery(
     """Run every check on a built table.  The report does not hold the table
     (about 14 MB at n_max = 200); ``polycert --dump`` keeps its own.
 
-    A bound that leaves a family with no instance is a ``ValueError``, so
-    no family passes having checked nothing.
+    The bounds are checked first, by ``check_battery_bounds``.
     """
-    for name, bound, least in (("chain_q_max", chain_q_max, 1),
-                               ("goal_q_max", goal_q_max, 1),
-                               ("left_m_max", left_m_max, 2)):
-        if bound < least:
-            raise ValueError(f"{name} must be >= {least}, got {bound}")
+    check_battery_bounds(sign_q_max, chain_q_max, goal_q_max, left_m_max)
     n_max = table.n_max
     # build_cert_table compared every coefficient of each X_n and Y_n.
     route_checks = sum(len(poly.coeffs) for poly in table.x_polys + table.y_polys)

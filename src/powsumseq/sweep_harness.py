@@ -25,8 +25,10 @@ default 20 x 10 x 100 grid cheap.  Cells are independent: they can run in a
 process pool (results are merged in sorted order, so reports are identical
 regardless of worker count) and each finished cell can be journaled to a
 shard directory, letting an interrupted sweep resume without recompute.
-Each shard carries a format number and a sha256 digest of its cell; a shard
-that fails either check is recomputed rather than trusted.
+Each shard carries a format number, a sha256 digest of its cell and a
+fingerprint of the code that decided it (a sha256 of the source of
+``exact_core``, ``property_checks`` and this module); a shard that fails any
+of the three checks is recomputed rather than trusted.
 
 The CSV export lays the headline table out with header ``l\\a,1,2,...`` and
 one row per l; absent (all log-concave) cells are written as 0.  The JSON
@@ -36,12 +38,13 @@ export round-trips the full report through ``report_from_json_dict``.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
+from . import exact_core, property_checks
 from .exact_core import (
     ExactSequence,
     SeqParams,
@@ -336,7 +339,7 @@ def _shard_path(shard_dir: str, l: int, a: int) -> str:
     return os.path.join(shard_dir, f"cell_l{l:03d}_a{a:03d}.json")
 
 
-SHARD_FORMAT = 1
+SHARD_FORMAT = 2
 
 
 def _cell_digest(cell_dict: dict) -> str:
@@ -348,17 +351,38 @@ def _cell_digest(cell_dict: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+@cache
+def _code_fingerprint() -> str:
+    """sha256 of the source of the modules that decide a cell.
+
+    A shard written by other code may hold other verdicts, so it is not
+    trusted even when its own digest matches.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    for path in (exact_core.__file__, property_checks.__file__, __file__):
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
 def _load_shard(shard_dir: str, l: int, a: int, m_max: int) -> CellResult | None:
     """The cell stored for (l, a, m_max), or None if it is missing or untrusted.
 
-    A shard of another format, or whose digest does not match its cell, is
+    A shard of another format, written by other code (see
+    ``_code_fingerprint``) or whose digest does not match its cell, is
     treated as missing, so the cell is recomputed.
     """
     path = _shard_path(shard_dir, l, a)
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        if data["format"] != SHARD_FORMAT or data["sha256"] != _cell_digest(data["cell"]):
+        if (
+            data["format"] != SHARD_FORMAT
+            or data["code"] != _code_fingerprint()
+            or data["sha256"] != _cell_digest(data["cell"])
+        ):
             return None
         cell = CellResult.from_json_dict(data["cell"])
     except (OSError, ValueError, KeyError, TypeError):
@@ -372,7 +396,12 @@ def _write_shard(shard_dir: str, cell: CellResult) -> None:
     path = _shard_path(shard_dir, cell.l, cell.a)
     tmp = path + ".tmp"
     cell_dict = cell.to_json_dict()
-    shard = {"format": SHARD_FORMAT, "sha256": _cell_digest(cell_dict), "cell": cell_dict}
+    shard = {
+        "format": SHARD_FORMAT,
+        "code": _code_fingerprint(),
+        "sha256": _cell_digest(cell_dict),
+        "cell": cell_dict,
+    }
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(shard, fh)
     os.replace(tmp, path)
@@ -421,6 +450,10 @@ def run_sweep(
             progress(done, total, cell)
 
     if processes > 1:
+        # Imported here: only a pool needs it, and importing it costs about
+        # 0.8 MB of resident memory.
+        import multiprocessing
+
         with multiprocessing.Pool(processes) as pool:
             for cell in pool.imap(_cell_worker, pending):
                 finish(cell)

@@ -8,6 +8,7 @@ import pytest
 from powsumseq import (
     SeqParams,
     asymptotics,
+    build_cert_table,
     central_ratio,
     cli,
     conjecture_report,
@@ -146,6 +147,29 @@ class TestPolycert:
         assert code == 2
         assert out == ""
         assert "chain_q_max must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "flag,name",
+        [
+            ("--sign-q-max", "sign_q_max"),
+            ("--chain-q-max", "chain_q_max"),
+            ("--goal-q-max", "goal_q_max"),
+            ("--left-m-max", "left_m_max"),
+        ],
+    )
+    def test_bad_bound_exits_2_before_building_the_table(self, flag, name, capsys, monkeypatch):
+        built = []
+
+        def counting(n_max):
+            built.append(n_max)
+            return build_cert_table(n_max)
+
+        monkeypatch.setattr(cli, "build_cert_table", counting)
+        code, out, err = run_cli(capsys, "polycert", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert f"{name} must be" in err
+        assert built == []
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--json")

@@ -489,6 +489,28 @@ class TestRunAll:
         with pytest.raises(ValueError, match=f"{name} must be"):
             run_battery(build_cert_table(3), 3, *bounds)
 
+    @pytest.mark.parametrize(
+        "bounds,name",
+        [
+            ((0, 3, 3, 5), "sign_q_max"),
+            ((3, 0, 3, 5), "chain_q_max"),
+            ((3, 3, -5, 5), "goal_q_max"),
+            ((3, 3, 3, 1), "left_m_max"),
+        ],
+    )
+    def test_bounds_are_checked_before_the_table_is_built(self, bounds, name, monkeypatch):
+        built = []
+        build = poly_certificates.build_cert_table
+
+        def counting(n_max):
+            built.append(n_max)
+            return build(n_max)
+
+        monkeypatch.setattr(poly_certificates, "build_cert_table", counting)
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            run_all(200, *bounds)
+        assert built == []
+
     def test_json_dict(self):
         report = run_all(n_max=3, sign_q_max=3, chain_q_max=3, goal_q_max=3, left_m_max=5)
         payload = report.to_json_dict()

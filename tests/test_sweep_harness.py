@@ -2,6 +2,7 @@
 counts, shard resume behaviour, and the CSV/JSON export formats."""
 
 import json
+import multiprocessing
 from fractions import Fraction
 
 import pytest
@@ -161,7 +162,7 @@ class TestRunSweep:
             def imap(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(sweep_harness.multiprocessing, "Pool", PoolRecorder)
+        monkeypatch.setattr(multiprocessing, "Pool", PoolRecorder)
         monkeypatch.setattr(sweep_harness.os, "cpu_count", lambda: 4)
         three = SweepGrid((1, 3), (1, 1), 5)
         six = SweepGrid((1, 3), (1, 2), 5)
@@ -252,6 +253,34 @@ class TestSharding:
         rewritten = json.loads(path.read_text())
         assert rewritten["format"] == sweep_harness.SHARD_FORMAT
         assert rewritten["cell"] == cell.to_json_dict()
+
+
+    def test_shard_of_the_same_code_is_reused(self, tmp_path):
+        shard_dir = str(tmp_path / "shards")
+        first = run_sweep(self.GRID, shard_dir=shard_dir)
+        shard = json.loads((tmp_path / "shards" / "cell_l001_a001.json").read_text())
+        assert shard["code"] == sweep_harness._code_fingerprint()
+        assert len(shard["code"]) == 64
+        calls = []
+        second = run_sweep(
+            self.GRID, shard_dir=shard_dir, progress=lambda done, total, c: calls.append(c)
+        )
+        assert second == first and calls == []
+
+    def test_shard_of_other_code_recomputed(self, tmp_path, monkeypatch):
+        # Shards written by code whose deciding modules differ are not
+        # trusted, although each one's own digest still matches its cell.
+        shard_dir = str(tmp_path / "shards")
+        first = run_sweep(self.GRID, shard_dir=shard_dir)
+        monkeypatch.setattr(sweep_harness, "_code_fingerprint", lambda: "0" * 64)
+        calls = []
+        second = run_sweep(
+            self.GRID, shard_dir=shard_dir, progress=lambda done, total, c: calls.append(c)
+        )
+        assert second == first
+        assert len(calls) == len(self.GRID.cell_keys())
+        shard = json.loads((tmp_path / "shards" / "cell_l001_a001.json").read_text())
+        assert shard["code"] == "0" * 64
 
 
 class TestCheckLThreshold:
