@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Guess and certify a row-sum recurrence of ``exact_core._ROW_RECURRENCES``.
 
-    python scripts/row_recurrence.py L [--order J]
+    python scripts/row_recurrence.py L
 
 The row sums S_n(x) = sum_k C(n, k)**l x**k satisfy a linear recurrence
 
     sum_{j=0}^{J} c_j(r, x) S_{r+j}(x) = 0,
 
-with c_j polynomial in r and x.  This tool finds the one of least degree in
-r for the order J (default J = l), and its creative-telescoping certificate
+with c_j polynomial in r and x.  This tool finds the one of order J = l and
+least degree in r, and its creative-telescoping certificate
 R(r, k, x) = M(r, k, x) / d(r) (the form and the proof are in the
 ``exact_core`` module docstring).  Standard library only; every step works
 modulo primes just below 2**61 and lifts at the end:
@@ -298,36 +298,35 @@ def _row_sums(l, x, n_max, p):
     return out
 
 
-def _recurrence_at(l, order, degree, x, p):
-    """Nullspace of the recurrences of this order and degree in r at x, mod p."""
-    unknowns = (order + 1) * (degree + 1)
+def _recurrence_at(l, degree, x, p):
+    """Nullspace of the recurrences of order l and this degree in r at x, mod p."""
+    unknowns = (l + 1) * (degree + 1)
     rows_needed = unknowns + 8
-    sums = _row_sums(l, x, rows_needed + order, p)
+    sums = _row_sums(l, x, rows_needed + l, p)
     rows = [
-        [pow(r, i, p) * sums[r + j] % p for j in range(order + 1) for i in range(degree + 1)]
+        [pow(r, i, p) * sums[r + j] % p for j in range(l + 1) for i in range(degree + 1)]
         for r in range(rows_needed)
     ]
     return nullspace(rows, unknowns, p)
 
 
-def least_degree(l, order):
-    """The least degree in r of a recurrence of this order."""
+def least_degree(l):
+    """The least degree in r of a recurrence of order l."""
     p = next(primes())
     x = random.Random(l).randrange(2, p)
     for degree in range(64):
-        basis = _recurrence_at(l, order, degree, x, p)
-        if len(basis) > 1:
-            raise ArithmeticError(f"order {order} is not the least order for l={l}")
+        basis = _recurrence_at(l, degree, x, p)
+        assert len(basis) <= 1, f"order {l} is not the least order for l={l}"
         if basis:
             return degree
-    raise ArithmeticError(f"no recurrence of order {order} and degree < 64 for l={l}")
+    raise ArithmeticError(f"no recurrence of order {l} and degree < 64 for l={l}")
 
 
-def guess(l, order=None):
-    """(order, degree, c) with c[j][i] the polynomial in x (integer coefficients,
-    constant term first) multiplying r**i S_{r+j}."""
-    order = l if order is None else order
-    degree = least_degree(l, order)
+def guess(l):
+    """(degree, c) with c[j][i] the polynomial in x (integer coefficients,
+    constant term first) multiplying r**i S_{r+j}; the order is l."""
+    order = l
+    degree = least_degree(l)
     width = (order + 1) * (degree + 1)
 
     def solve_mod(p):
@@ -336,7 +335,7 @@ def guess(l, order=None):
         for count in range(16, 200, 8):
             while len(xs) < count:
                 xs.append(rng.randrange(2, p))
-                (v,) = _recurrence_at(l, order, degree, xs[-1], p)
+                (v,) = _recurrence_at(l, degree, xs[-1], p)
                 vectors.append(v)
             # Scale by one coefficient that is not identically zero.
             anchor = next(c for c in range(width) if vectors[0][c])
@@ -354,7 +353,7 @@ def guess(l, order=None):
     if next(u for u in reversed(c[order]) if u)[-1] < 0:
         c = [[[-v for v in u] for u in col] for col in c]
     _check_recurrence(l, c)
-    return order, degree, c
+    return degree, c
 
 
 def _flatten(polys):
@@ -555,10 +554,9 @@ def table_entry(c):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("l", type=int)
-    parser.add_argument("--order", type=int, default=None)
     args = parser.parse_args(argv)
-    order, degree, c = guess(args.l, args.order)
-    print(f"# l = {args.l}: order {order}, degree {degree} in r")
+    degree, c = guess(args.l)
+    print(f"# l = {args.l}: order {args.l}, degree {degree} in r")
     print("entry =", table_entry(c))
     print("certificate =", certify(args.l, c))
 

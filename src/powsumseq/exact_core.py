@@ -571,10 +571,8 @@ def scaled_row_sums(l: int, a: Fraction, r_max: int) -> list[int]:
         # general loop below is about 1.3x slower than this one, which
         # stays within about 15 % of the closed forms (p + q)**r and
         # C(2r, r) it replaces.
+        # Their leads are positive, so no step needs the zero-lead guard.
         for den, c in zip(leads, columns[-1]):
-            if not den:
-                out.append(_direct_row_sum(l, a, len(out)))
-                continue
             row, remainder = divmod(c * out[-1], den)
             if remainder:
                 raise _inexact_step(l, a, len(out))

@@ -25,10 +25,10 @@ default 20 x 10 x 100 grid cheap.  Cells are independent: they can run in a
 process pool (results are merged in sorted order, so reports are identical
 regardless of worker count) and each finished cell can be journaled to a
 shard directory, letting an interrupted sweep resume without recompute.
-Each shard carries a format number, a sha256 digest of its cell and a
-fingerprint of the code that decided it (a sha256 of the source of
-``exact_core``, ``property_checks`` and this module); a shard that fails any
-of the three checks is recomputed rather than trusted.
+Each shard carries a sha256 digest of its cell and a fingerprint of the
+code that decided and wrote it (a sha256 of the source of ``exact_core``,
+``property_checks`` and this module, which defines the shard format); a
+shard that fails either check is recomputed rather than trusted.
 
 The CSV export lays the headline table out with header ``l\\a,1,2,...`` and
 one row per l; absent (all log-concave) cells are written as 0.  The JSON
@@ -339,9 +339,6 @@ def _shard_path(shard_dir: str, l: int, a: int) -> str:
     return os.path.join(shard_dir, f"cell_l{l:03d}_a{a:03d}.json")
 
 
-SHARD_FORMAT = 2
-
-
 def _cell_digest(cell_dict: dict) -> str:
     # Imported here: hashlib loads OpenSSL, about 3.5 MB of resident memory
     # that only sharded sweeps need.
@@ -355,8 +352,8 @@ def _cell_digest(cell_dict: dict) -> str:
 def _code_fingerprint() -> str:
     """sha256 of the source of the modules that decide a cell.
 
-    A shard written by other code may hold other verdicts, so it is not
-    trusted even when its own digest matches.
+    A shard written by other code may hold other verdicts or another
+    format, so it is not trusted even when its own digest matches.
     """
     import hashlib
 
@@ -370,19 +367,15 @@ def _code_fingerprint() -> str:
 def _load_shard(shard_dir: str, l: int, a: int, m_max: int) -> CellResult | None:
     """The cell stored for (l, a, m_max), or None if it is missing or untrusted.
 
-    A shard of another format, written by other code (see
-    ``_code_fingerprint``) or whose digest does not match its cell, is
-    treated as missing, so the cell is recomputed.
+    A shard written by other code (see ``_code_fingerprint``), or whose
+    digest does not match its cell, is treated as missing, so the cell is
+    recomputed.
     """
     path = _shard_path(shard_dir, l, a)
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        if (
-            data["format"] != SHARD_FORMAT
-            or data["code"] != _code_fingerprint()
-            or data["sha256"] != _cell_digest(data["cell"])
-        ):
+        if data["code"] != _code_fingerprint() or data["sha256"] != _cell_digest(data["cell"]):
             return None
         cell = CellResult.from_json_dict(data["cell"])
     except (OSError, ValueError, KeyError, TypeError):
@@ -397,7 +390,6 @@ def _write_shard(shard_dir: str, cell: CellResult) -> None:
     tmp = path + ".tmp"
     cell_dict = cell.to_json_dict()
     shard = {
-        "format": SHARD_FORMAT,
         "code": _code_fingerprint(),
         "sha256": _cell_digest(cell_dict),
         "cell": cell_dict,
@@ -416,7 +408,7 @@ def run_sweep(
     """Evaluate every cell of the grid, optionally in parallel and sharded.
 
     ``shard_dir``: finished cells are journaled there as JSON and reloaded
-    (after validating format, digest and parameters) on a rerun, so
+    (after validating code fingerprint, digest and parameters) on a rerun, so
     interrupted sweeps resume.
     ``progress``: optional callable invoked as progress(done, total, cell).
     At most one worker is started per pending cell and per CPU.  The report

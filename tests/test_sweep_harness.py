@@ -251,7 +251,7 @@ class TestSharding:
         assert len(calls) == 1
         assert report.cells[(6, 1)] == cell
         rewritten = json.loads(path.read_text())
-        assert rewritten["format"] == sweep_harness.SHARD_FORMAT
+        assert rewritten["code"] == sweep_harness._code_fingerprint()
         assert rewritten["cell"] == cell.to_json_dict()
 
 
