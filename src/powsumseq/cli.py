@@ -32,7 +32,6 @@ from .sweep_harness import (
     SweepGrid,
     cell_sequences,
     export_csv,
-    export_json,
     headline_csv,
     run_sweep,
 )
@@ -110,9 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--l-max", type=int, default=20)
     p_tab.add_argument("--a-max", type=int, default=10)
     p_tab.add_argument("--m-max", type=int, default=100)
-    p_tab.add_argument("--out", metavar="PATH", help="write the report to PATH")
-    p_tab.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="file format for --out (default csv)")
+    p_tab.add_argument("--out", metavar="PATH", help="write the headline table as CSV to PATH")
     p_tab.add_argument("--threads", type=int, default=1,
                        help="worker processes (default 1)")
     p_tab.add_argument("--shard-dir", metavar="DIR",
@@ -241,10 +238,7 @@ def _cmd_table2(args) -> int:
         progress=progress if args.progress else None,
     )
     if args.out:
-        if args.format == "csv":
-            export_csv(report, args.out)
-        else:
-            export_json(report, args.out)
+        export_csv(report, args.out)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=1))
     else:

@@ -89,7 +89,7 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, islice, repeat
 from operator import mul
 
@@ -456,11 +456,6 @@ _ROW_RECURRENCES = {
 # a = 1 is the last weight to gain.
 _ROW_RECURRENCE_MIN_R = {4: 28, 5: 44}
 
-# l -> (entry, lead, shifts) as ``_difference_forms``, filled on first use.  It
-# is keyed by the entry object, so an entry replaced in the table is prepared
-# again rather than read stale.
-_PREPARED: dict[int, tuple] = {}
-
 
 def _difference_forms(terms: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[list[int]]:
     """Forward differences at r = 0 of the coefficient sum u(r) * f(P, Q) over the terms.
@@ -485,17 +480,11 @@ def _difference_forms(terms: Sequence[tuple[Sequence[int], Sequence[int]]]) -> l
     return diffs
 
 
-def _prepared(l: int, entry: tuple) -> tuple[list[list[int]], list[list[list[int]]]]:
+@cache
+def _prepared(entry: tuple) -> tuple[list[list[int]], list[list[list[int]]]]:
     """The entry's lead and shifts as ``_difference_forms``, worked out once per entry."""
-    cached = _PREPARED.get(l)
-    if cached is None or cached[0] is not entry:
-        lead, shifts = entry
-        cached = _PREPARED[l] = (
-            entry,
-            _difference_forms(lead),
-            [_difference_forms(terms) for terms in shifts],
-        )
-    return cached[1], cached[2]
+    lead, shifts = entry
+    return _difference_forms(lead), [_difference_forms(terms) for terms in shifts]
 
 
 def _column_values(diffs: list[list[int]], monomials: list[list[int]]) -> Iterator[int] | None:
@@ -553,7 +542,7 @@ def scaled_row_sums(l: int, a: Fraction, r_max: int) -> list[int]:
     entry = _ROW_RECURRENCES.get(l)
     if entry is None or r_max < _ROW_RECURRENCE_MIN_R.get(l, 0):
         return [_direct_row_sum(l, a, r) for r in range(r_max + 1)]
-    lead_diffs, shift_diffs = _prepared(l, entry)
+    lead_diffs, shift_diffs = _prepared(entry)
     order = len(shift_diffs)
     n = max(r_max + 1 - order, 0)  # steps; the recurrence gives D_{r+J} at step r
     big_p, big_q = a.numerator**l, a.denominator**l

@@ -31,8 +31,7 @@ code that decided and wrote it (a sha256 of the source of ``exact_core``,
 shard that fails either check is recomputed rather than trusted.
 
 The CSV export lays the headline table out with header ``l\\a,1,2,...`` and
-one row per l; absent (all log-concave) cells are written as 0.  The JSON
-export round-trips the full report through ``report_from_json_dict``.
+one row per l; absent (all log-concave) cells are written as 0.
 """
 
 from __future__ import annotations
@@ -66,10 +65,6 @@ __all__ = [
     "check_l_threshold",
     "headline_csv",
     "export_csv",
-    "load_csv_table",
-    "export_json",
-    "load_json",
-    "report_from_json_dict",
 ]
 
 
@@ -106,14 +101,6 @@ class SweepGrid:
             "a_range": list(self.a_range),
             "m_max": self.m_max,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SweepGrid":
-        return cls(
-            l_range=tuple(data["l_range"]),
-            a_range=tuple(data["a_range"]),
-            m_max=data["m_max"],
-        )
 
 
 @dataclass(frozen=True)
@@ -321,15 +308,6 @@ class SweepReport:
         }
 
 
-def report_from_json_dict(data: dict) -> SweepReport:
-    grid = SweepGrid.from_json_dict(data["grid"])
-    cells = {}
-    for cell_data in data["cells"]:
-        cell = CellResult.from_json_dict(cell_data)
-        cells[(cell.l, cell.a)] = cell
-    return SweepReport(grid, cells)
-
-
 def _cell_worker(key: tuple[int, int, int]) -> CellResult:
     l, a, m_max = key
     return evaluate_cell(l, a, m_max)
@@ -474,21 +452,12 @@ def check_l_threshold(a: int, m: int, l_max: int) -> ThresholdResult:
 
 def headline_csv(report: SweepReport) -> str:
     r"""The headline table: header ``l\a,1,2,...``, one row per l, absent
-    (all log-concave) cells as 0, newline-terminated lines.
-
-    Partial reports give only the l-rows that have at least one recorded
-    cell; a report with no cells gives just the header.
-    """
+    (all log-concave) cells as 0, newline-terminated lines."""
     grid = report.grid
     lines = ["l\\a," + ",".join(str(a) for a in grid.a_values)]
     for l in grid.l_values:
-        row_cells = [report.cells.get((l, a)) for a in grid.a_values]
-        if any(cell is not None for cell in row_cells):
-            row = [str(l)] + [
-                str(cell.largest_non_lc_m or 0) if cell is not None else "0"
-                for cell in row_cells
-            ]
-            lines.append(",".join(row))
+        row = [str(report.cells[(l, a)].largest_non_lc_m or 0) for a in grid.a_values]
+        lines.append(",".join([str(l), *row]))
     return "\n".join(lines) + "\n"
 
 
@@ -496,31 +465,3 @@ def export_csv(report: SweepReport, path: str) -> None:
     """Write ``headline_csv(report)`` to ``path``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(headline_csv(report))
-
-
-def load_csv_table(path: str) -> dict:
-    """Read a headline-table CSV back to {(l, a): int} (0 = all log-concave)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    header = lines[0].split(",")
-    if header[0] != "l\\a":
-        raise ValueError(f"unexpected CSV header {lines[0]!r}")
-    a_values = [int(x) for x in header[1:]]
-    table = {}
-    for line in lines[1:]:
-        parts = line.split(",")
-        l = int(parts[0])
-        for a, value in zip(a_values, parts[1:]):
-            table[(l, a)] = int(value)
-    return table
-
-
-def export_json(report: SweepReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=1)
-        fh.write("\n")
-
-
-def load_json(path: str) -> SweepReport:
-    with open(path, encoding="utf-8") as fh:
-        return report_from_json_dict(json.load(fh))

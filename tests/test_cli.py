@@ -1,23 +1,28 @@
 """End-to-end CLI tests driven through ``main(argv)``."""
 
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from powsumseq import (
     SeqParams,
+    SweepGrid,
     asymptotics,
     build_cert_table,
     central_ratio,
     cli,
     conjecture_report,
     dump_polynomials,
-    load_json,
     poly_certificates,
+    run_sweep,
     sandwich_bounds,
 )
 from powsumseq.cli import build_parser, main
+from powsumseq.sweep_harness import CellResult
 
 
 def run_cli(capsys, *argv):
@@ -271,14 +276,18 @@ class TestTable2:
         assert lines[0] == "l\\a,1,2"
         assert len(lines) == 8
 
-    def test_json_export_round_trips(self, capsys, tmp_path):
-        out_path = tmp_path / "grid.json"
-        code, _, _ = run_cli(
-            capsys, *self.SMALL, "--out", str(out_path), "--format", "json"
-        )
+    def test_json_export_round_trips(self, capsys):
+        code, out, _ = run_cli(capsys, *self.SMALL, "--json")
         assert code == 0
-        report = load_json(str(out_path))
-        assert report.cell(6, 1).largest_non_lc_m == 5
+        cells = {(c["l"], c["a"]): CellResult.from_json_dict(c) for c in json.loads(out)["cells"]}
+        assert cells[(6, 1)].largest_non_lc_m == 5
+        assert len(cells) == 14
+
+    def test_format_option_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.SMALL, "--format", "json"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
     def test_shard_dir_resume(self, capsys, tmp_path):
         shards = tmp_path / "shards"
@@ -301,11 +310,36 @@ class TestTable2:
     def test_json_stdout(self, capsys):
         code, out, _ = run_cli(capsys, *self.SMALL, "--json")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["unimodality_all"] is True
+        assert json.loads(out)["unimodality_all"] is True
+        # The report's JSON, indented by 1 and newline-terminated.
+        report = run_sweep(SweepGrid((1, 7), (1, 2), 10))
+        assert out == json.dumps(report.to_json_dict(), indent=1) + "\n"
 
 
 class TestThreadsDefault:
     def test_defaults_to_1(self):
         args = build_parser().parse_args(["table2", "--m-max", "5"])
         assert args.threads == 1
+
+
+def readme_commands() -> list[str]:
+    """Every ``powsumseq ...`` command in README's shell blocks, one string each:
+    backslash continuations joined, trailing comments and redirections cut."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = re.sub(r"(^|\s)#.*", "", line)
+            line = " ".join(re.sub(r"\s[0-9]*>.*", "", line).split())
+            if line.startswith("powsumseq "):
+                commands.append(line)
+    return commands
+
+
+class TestReadme:
+    def test_usage_block_found(self):
+        assert len(readme_commands()) >= 10
+
+    @pytest.mark.parametrize("command", readme_commands())
+    def test_command_parses(self, command):
+        build_parser().parse_args(shlex.split(command)[1:])
