@@ -248,7 +248,12 @@ def _cmd_table2(args) -> int:
         thresholds = report.threshold_checks()
         thr_bad = [t for t in thresholds if not t.persistent]
         print(f"columns weakly monotone: {len(columns) - len(mono_bad)}/{len(columns)}")
+        for c in mono_bad:
+            prev_l, l = c.first_violation
+            print(f"  a={c.a}: falls from l={prev_l} to l={l}")
         print(f"persistent l-thresholds: {len(thresholds) - len(thr_bad)}/{len(thresholds)}")
+        for t in thr_bad:
+            print(f"  a={t.a}, m={t.m}: not log-concave at l={list(t.failing_ls)}")
         print(f"unimodality everywhere:  {report.unimodality_all}")
         print(f"peaks unique and in window: {report.window_all}")
     return 0 if report.unimodality_all and report.window_all else 1

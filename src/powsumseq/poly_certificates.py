@@ -172,12 +172,6 @@ class IntPoly:
     def monic(self) -> bool:
         return self.coeffs[-1] == 1
 
-    def __call__(self, t):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):

@@ -66,8 +66,8 @@ i is decided when |d| > eps_{i-1} + eps_i for d = fl(lam_{i-1} - lam_i):
 the true difference is off by at most half that sum (each eps is twice
 its error) plus the rounding u |d| of the subtraction, which is less than
 |d|.  Every other comparison, which includes every exact tie, goes to the
-exact comparison, so ``strict``, plateaus, ``first_violation`` and the peak
-set are those of an all-exact scan.
+exact comparison, so ``first_violation`` and the peak set are those of an
+all-exact scan.
 
 The loop.  ``scan`` reads the (N_i, D_i) pairs once, in order.  At entry i
 it rejects a nonpositive pair, splits both integers, and for r = i - 1 forms
@@ -77,10 +77,10 @@ violation it also decides log-concavity at r from lam_{r-1} and lam_r; no
 index after that violation is examined.  What one index hands the next is
 fixed in size: entries i-1 and i-2, the split of i-1, and lam_{r-1} and
 eps_{r-1}; no product outlives the comparison that formed it.  The
-sequence is unimodal iff no rise follows the first fall, and its plateau is
-then [last rise + 1, first fall], or up to the last index when nothing
-falls.  The peak search of a non-unimodal sequence is the one second walk
-and makes the only comparisons between non-adjacent entries.
+sequence is unimodal iff no rise follows the first fall, and its peak set is
+then every index from last rise + 1 to the first fall, or to the last index
+when nothing falls.  The peak search of a non-unimodal sequence is the one
+second walk and makes the only comparisons between non-adjacent entries.
 """
 
 from __future__ import annotations
@@ -113,14 +113,13 @@ _EPS_UNIT = math.ldexp(1.0, -48)
 
 @dataclass(frozen=True)
 class Unimodality:
-    """Weak-unimodality verdict; ``plateau`` bounds the maximum run.
+    """Weak-unimodality verdict.
 
-    ``plateau`` is the inclusive index range (lo, hi) of the maximum when the
-    sequence is unimodal, and None otherwise.
+    The maximum of a unimodal sequence is one run, from the first to the
+    last index of its :class:`Peaks`.
     """
 
     unimodal: bool
-    plateau: tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -128,13 +127,11 @@ class LogConcavity:
     """Log-concavity verdict.
 
     ``first_violation`` is the least interior index i with
-    z_i^2 < z_{i-1} * z_{i+1}, or None when log-concave.  ``strict`` reports
-    whether every interior inequality held strictly (diagnostic only).
+    z_i^2 < z_{i-1} * z_{i+1}, or None when log-concave.
     """
 
     log_concave: bool
     first_violation: int | None
-    strict: bool
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,6 @@ def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
     exact = 0
     last_rise = first_fall = -1
     first_violation = None
-    strict = True
     # This entry is r + 1.  prev_* hold entry r, its split and the lam and eps
     # of r - 1; prev2_* hold entry r - 1.
     prev_num = prev_den = None
@@ -230,12 +226,9 @@ def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
                     first_violation = r
                 elif d <= bound:
                     exact += 1
-                    sign = _ratio_sign(prev_num * prev_num, prev_den * prev_den,
-                                       prev2_num * num, prev2_den * den)
-                    if sign < 0:
+                    if _ratio_sign(prev_num * prev_num, prev_den * prev_den,
+                                   prev2_num * num, prev2_den * den) < 0:
                         first_violation = r
-                    elif sign == 0:
-                        strict = False
             prev_lam = lam
             prev_eps = eps
         prev2_num = prev_num
@@ -248,12 +241,9 @@ def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
     n = len(nums)
     unimodal = first_fall < 0 or last_rise < first_fall
     if unimodal:
-        lo = last_rise + 1
         hi = first_fall if first_fall >= 0 else n - 1
-        plateau: tuple[int, int] | None = (lo, hi)
-        peak_list = tuple(range(lo, hi + 1))
+        peak_list = tuple(range(last_rise + 1, hi + 1))
     else:
-        plateau = None
         best = [0]
         for r in range(1, n):
             exact += 1
@@ -265,9 +255,8 @@ def _scan_pairs(nums: Sequence[int], dens: Sequence[int]) -> SequenceScan:
         peak_list = tuple(best)
 
     return SequenceScan(
-        Unimodality(unimodal, plateau),
-        LogConcavity(first_violation is None, first_violation,
-                     strict and first_violation is None),
+        Unimodality(unimodal),
+        LogConcavity(first_violation is None, first_violation),
         Peaks(peak_list, len(peak_list) == 1),
         exact,
     )

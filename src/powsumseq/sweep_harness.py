@@ -47,7 +47,6 @@ from . import exact_core, property_checks
 from .exact_core import (
     ExactSequence,
     SeqParams,
-    full_sequence,
     scaled_prefix_sums,
     scaled_row_sums,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "cell_sequences",
     "evaluate_cell",
     "run_sweep",
-    "check_l_threshold",
     "headline_csv",
     "export_csv",
 ]
@@ -200,13 +198,14 @@ def evaluate_cell(l: int, a: int, m_max: int) -> CellResult:
 class ThresholdResult:
     """Least power at which log-concavity fails for one (a, m), if any.
 
+    ``failing_ls`` lists every power in the grid's l range at which (m, l, a)
+    is not log-concave, and ``threshold`` is the least of them.
     ``persistent`` says failure continues for every larger l in range; it is
     vacuously True when there is no threshold.
     """
 
     a: int
     m: int
-    l_max: int
     threshold: int | None
     persistent: bool
     failing_ls: tuple[int, ...]
@@ -220,7 +219,7 @@ class ThresholdResult:
         failing = tuple(failing)
         threshold = failing[0] if failing else None
         persistent = threshold is None or failing == tuple(range(threshold, l_max + 1))
-        return cls(a, m, l_max, threshold, persistent, failing)
+        return cls(a, m, threshold, persistent, failing)
 
 
 @dataclass(frozen=True)
@@ -433,21 +432,6 @@ def run_sweep(
 
     ordered = {key: cells[key] for key in sorted(cells)}
     return SweepReport(grid, ordered)
-
-
-def check_l_threshold(a: int, m: int, l_max: int) -> ThresholdResult:
-    """Recompute, from scratch, the least l <= l_max at which (m, l, a)
-    loses log-concavity, and whether the failure persists to l_max.
-    A float weight raises ``TypeError`` whatever its value."""
-    SeqParams(m, l_max, a)
-    if a < 1 or m < 1 or l_max < 1:
-        raise ValueError("need a >= 1, m >= 1, l_max >= 1")
-    failing = [
-        l
-        for l in range(1, l_max + 1)
-        if not scan(full_sequence(SeqParams(m, l, a))).log_concavity.log_concave
-    ]
-    return ThresholdResult.from_failing(a, m, l_max, failing)
 
 
 def headline_csv(report: SweepReport) -> str:

@@ -11,6 +11,7 @@ import pytest
 from powsumseq import (
     SeqParams,
     SweepGrid,
+    SweepReport,
     asymptotics,
     build_cert_table,
     central_ratio,
@@ -282,6 +283,27 @@ class TestTable2:
         cells = {(c["l"], c["a"]): CellResult.from_json_dict(c) for c in json.loads(out)["cells"]}
         assert cells[(6, 1)].largest_non_lc_m == 5
         assert len(cells) == 14
+
+    def test_failed_observations_are_named(self, capsys, monkeypatch):
+        # TestColumnChecks' report: column a = 1 falls from 5 at l = 1 to 0
+        # at l = 2, and m = 5 fails log-concavity at l = 1 only, so its
+        # threshold does not persist.
+        def cell(l, non_lc):
+            return CellResult(l, 1, 10, non_lc, (), (), (), ())
+
+        grid = SweepGrid((1, 3), (1, 1), 10)
+        cells = {(1, 1): cell(1, (5,)), (2, 1): cell(2, ()), (3, 1): cell(3, (7,))}
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: SweepReport(grid, cells))
+        code, out, _ = run_cli(capsys, "table2")
+        assert code == 0
+        assert out.splitlines()[4:] == [
+            "columns weakly monotone: 0/1",
+            "  a=1: falls from l=1 to l=2",
+            "persistent l-thresholds: 1/2",
+            "  a=1, m=5: not log-concave at l=[1]",
+            "unimodality everywhere:  True",
+            "peaks unique and in window: True",
+        ]
 
     def test_format_option_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

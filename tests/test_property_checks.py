@@ -64,22 +64,21 @@ def naive_peaks(entries):
 
 # ---------------------------------------------------------------------------
 # Exact oracle: every adjacent comparison and every second difference decided
-# by integer cross-multiplication, with no float filter.
+# by integer cross-multiplication, with no float filter.  Its exact_fallbacks
+# counts the comparisons it makes that are exact ties: no float filter can
+# decide a tie, so the filtered scan settles at least that many exactly.
 # ---------------------------------------------------------------------------
 
 def exact_scan_pairs(nums, dens) -> SequenceScan:
     n = len(nums)
     if n == 1:
-        return SequenceScan(
-            Unimodality(True, (0, 0)),
-            LogConcavity(True, None, True),
-            Peaks((0,), True),
-        )
+        return SequenceScan(Unimodality(True), LogConcavity(True, None), Peaks((0,), True))
 
     # P[r] vs Q[r] compares z_{r+1} with z_r.
     P = [nums[r + 1] * dens[r] for r in range(n - 1)]
     Q = [nums[r] * dens[r + 1] for r in range(n - 1)]
     signs = [(P[r] > Q[r]) - (P[r] < Q[r]) for r in range(n - 1)]
+    ties = signs.count(0)
 
     fallen = False
     unimodal = True
@@ -91,15 +90,13 @@ def exact_scan_pairs(nums, dens) -> SequenceScan:
             break
 
     first_violation = None
-    strict = True
     for i in range(1, n - 1):
         lhs = P[i - 1] * Q[i]
         rhs = P[i] * Q[i - 1]
         if lhs < rhs:
             first_violation = i
             break
-        if lhs == rhs:
-            strict = False
+        ties += lhs == rhs
 
     if unimodal:
         last_rise = -1
@@ -109,12 +106,9 @@ def exact_scan_pairs(nums, dens) -> SequenceScan:
                 last_rise = r
             elif signs[r] < 0 and first_fall < 0:
                 first_fall = r
-        lo = last_rise + 1
         hi = first_fall if first_fall >= 0 else n - 1
-        plateau = (lo, hi)
-        peak_list = tuple(range(lo, hi + 1))
+        peak_list = tuple(range(last_rise + 1, hi + 1))
     else:
-        plateau = None
         best = [0]
         for r in range(1, n):
             cmp_lhs = nums[r] * dens[best[0]]
@@ -123,13 +117,14 @@ def exact_scan_pairs(nums, dens) -> SequenceScan:
                 best = [r]
             elif cmp_lhs == cmp_rhs:
                 best.append(r)
+                ties += 1
         peak_list = tuple(best)
 
     return SequenceScan(
-        Unimodality(unimodal, plateau),
-        LogConcavity(first_violation is None, first_violation,
-                     strict and first_violation is None),
+        Unimodality(unimodal),
+        LogConcavity(first_violation is None, first_violation),
         Peaks(peak_list, len(peak_list) == 1),
+        ties,
     )
 
 
@@ -160,30 +155,26 @@ class TestUnimodality:
             scan([1, Fraction(5, 2), 1]).unimodality
             == scan(central_binomial_sequence(2)).unimodality
         )
-        assert scan([1, Fraction(5, 2), 1]).unimodality.plateau == (1, 1)
-        assert scan([1, 1]).unimodality.plateau == (0, 1)
+        assert scan([1, Fraction(5, 2), 1]).unimodality.unimodal
+        assert scan([1, 1]).unimodality.unimodal
+        assert scan([1, 1]).peaks.indices == (0, 1)
         assert not scan([2, 1, 2]).unimodality.unimodal
-        assert scan([2, 1, 2]).unimodality.plateau is None
 
     def test_interior_plateau(self):
-        verdict = scan([1, 1, 2, 2, 1]).unimodality
-        assert verdict.unimodal
-        assert verdict.plateau == (2, 3)
+        result = scan([1, 1, 2, 2, 1])
+        assert result.unimodality.unimodal
+        assert result.peaks.indices == (2, 3)
 
     def test_singleton(self):
-        expected = SequenceScan(
-            Unimodality(True, (0, 0)),
-            LogConcavity(True, None, True),
-            Peaks((0,), True),
-        )
+        expected = SequenceScan(Unimodality(True), LogConcavity(True, None), Peaks((0,), True))
         for seq in ([5], [Fraction(7, 3)]):
             result = scan(seq)
             assert result == expected
             assert result.exact_fallbacks == 0
 
     def test_monotone_sequences(self):
-        assert scan([1, 2, 3]).unimodality.plateau == (2, 2)
-        assert scan([3, 2, 1]).unimodality.plateau == (0, 0)
+        assert scan([1, 2, 3]).peaks.indices == (2,)
+        assert scan([3, 2, 1]).peaks.indices == (0,)
 
 
 class TestLogConcavity:
@@ -194,12 +185,11 @@ class TestLogConcavity:
         assert verdict.first_violation == 1
 
     def test_geometric_is_borderline(self):
-        verdict = scan([1, 2, 4, 8]).log_concavity
-        assert verdict.log_concave
-        assert not verdict.strict
-
-    def test_strict_flag(self):
-        assert scan([1, 3, 4, 3, 1]).log_concavity.strict
+        # Both interior indices are exact ties, so both are settled exactly;
+        # the filter decides the three rises.
+        result = scan([1, 2, 4, 8])
+        assert result.log_concavity.log_concave
+        assert result.exact_fallbacks == 2
 
     def test_sequence_input(self):
         seq = full_sequence(SeqParams(5, 6, 1))
@@ -278,8 +268,8 @@ class TestWindow:
 def report_window_hit(m, a, peaks):
     """``window_hit`` of the report on (m, 1, a) given a scan with these peaks."""
     result = SequenceScan(
-        Unimodality(False, None),
-        LogConcavity(True, None, True),
+        Unimodality(False),
+        LogConcavity(True, None),
         Peaks(peaks, len(peaks) == 1),
     )
     return PropertyReport.from_scan(SeqParams(m, 1, a), result).window_hit
@@ -501,7 +491,10 @@ class TestFilterAgainstExactOracle:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_ties_plateaus_and_dips(self, middle, unit_ends):
         entries = [1, *middle, 1] if unit_ends else middle
-        assert scan(entries) == exact_scan(entries)
+        result = scan(entries)
+        exact = exact_scan(entries)
+        assert result == exact
+        assert result.exact_fallbacks >= exact.exact_fallbacks
 
     @given(geometric_ratios, geometric_ratios, st.integers(1, 16))
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -510,7 +503,10 @@ class TestFilterAgainstExactOracle:
         result = scan(entries)
         assert result == exact_scan(entries)
         assert result.log_concavity.log_concave
-        assert result.log_concavity.strict == (length < 3)
+        # Every interior index is a tie and is settled exactly; the signs are
+        # ties too when the ratio is 1, and the filter decides them otherwise.
+        sign_ties = length - 1 if ratio == 1 else 0
+        assert result.exact_fallbacks == max(length - 2, 0) + sign_ties
 
     @pytest.mark.parametrize("k", [60, 64, 200, 1000, 3000])
     def test_near_ties_all_go_exact(self, k):
@@ -554,5 +550,5 @@ class TestExactFallbacks:
         result = scan(entries)
         assert result == exact_scan(entries)
         assert result.log_concavity.first_violation == 1
-        assert result.unimodality.plateau == (8, 8)
+        assert result.peaks.indices == (8,)
         assert result.exact_fallbacks == 6
